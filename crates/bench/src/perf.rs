@@ -639,8 +639,7 @@ pub fn measure_pruning(cfg: &BenchConfig) -> Vec<PruningRun> {
             let pruned_engine = Engine::native();
             let unpruned_engine = Engine::native().with_pruning(false);
             // One traced run collects the skip counters (and warms the
-            // plan's column cache so the timed medians compare the sweeps,
-            // not the first columnarization).
+            // caches, so the timed medians compare steady-state sweeps).
             let (_, trace) = pruned_engine
                 .execute_traced(&plan)
                 .expect("pruning plan executes");

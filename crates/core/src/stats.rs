@@ -247,22 +247,10 @@ impl TableStats {
         TableStats { rows: n, cols: out }
     }
 
-    /// Compute statistics from a row relation in one row sweep — no
-    /// transposition. Produces exactly what [`TableStats::of_columns`]
-    /// produces for the columnarized relation (property-pinned below).
+    /// Compute statistics from a row relation: [`TableStats::of_columns`]
+    /// over its columnar form.
     pub fn of_relation(rel: &AuRelation) -> TableStats {
-        let rows = rel.rows();
-        let mut builders: Vec<ColBuilder> =
-            (0..rel.schema.arity()).map(|_| ColBuilder::new()).collect();
-        for row in rows {
-            for (b, rv) in builders.iter_mut().zip(&row.tuple.0) {
-                b.push(&rv.lb, &rv.sg, &rv.ub, rv.is_certain());
-            }
-        }
-        TableStats {
-            rows: rows.len(),
-            cols: builders.into_iter().map(ColBuilder::finish).collect(),
-        }
+        TableStats::of_columns(&rel.to_columns())
     }
 
     /// Number of zones ([`ZONE_ROWS`]-row blocks) the table spans.

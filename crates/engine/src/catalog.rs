@@ -1,27 +1,22 @@
 //! The FROM-clause namespace of the SQL frontend: an immutable-once-read
 //! [`Catalog`] of named AU-relations, and the snapshot-swappable
 //! [`SharedCatalog`] many concurrent sessions read through.
+//!
+//! **One `Table` per publish:** every register or append builds one
+//! immutable `Table` (rows, columns, stats), and every plan bound against
+//! that snapshot scans it — no plan transposes or sweeps the data again.
 
+use crate::plan::Table;
 use audb_core::{AuRelation, TableStats};
 use std::collections::BTreeMap;
 use std::sync::{Arc, RwLock};
-
-/// A registered relation together with the column statistics computed
-/// when it was published. Statistics are recomputed on every
-/// registration (including the append path, which re-registers the grown
-/// table), so a snapshot's stats always describe the relation it holds.
-#[derive(Clone, Debug)]
-struct TableEntry {
-    rel: Arc<AuRelation>,
-    stats: Arc<TableStats>,
-}
 
 /// Named AU-relations, shared cheaply behind [`Arc`]s. Names are
 /// case-sensitive (quote mixed-case names in SQL as `"MyTable"`); lookups
 /// iterate in name order, so catalog listings are deterministic.
 #[derive(Clone, Debug, Default)]
 pub struct Catalog {
-    tables: BTreeMap<String, TableEntry>,
+    tables: BTreeMap<String, Arc<Table>>,
 }
 
 impl Catalog {
@@ -31,34 +26,42 @@ impl Catalog {
     }
 
     /// Register a relation under a name, replacing (and returning) any
-    /// previous relation of that name. Column statistics (zone maps,
-    /// certain fractions — [`TableStats`]) are computed eagerly here, so
-    /// binding and optimization never scan the data to obtain them.
+    /// previous relation of that name. The columnar form and the column
+    /// statistics (zone maps, certain fractions — [`TableStats`]) are
+    /// built eagerly here, so binding, optimization and execution never
+    /// transpose or scan the data to obtain them.
     pub fn register(
         &mut self,
         name: impl Into<String>,
         rel: impl Into<Arc<AuRelation>>,
     ) -> Option<Arc<AuRelation>> {
-        let rel = rel.into();
-        let stats = Arc::new(TableStats::of_relation(&rel));
+        self.insert(name.into(), Arc::new(Table::new(rel.into())))
+    }
+
+    fn insert(&mut self, name: String, table: Arc<Table>) -> Option<Arc<AuRelation>> {
         self.tables
-            .insert(name.into(), TableEntry { rel, stats })
-            .map(|e| e.rel)
+            .insert(name, table)
+            .map(|t| Arc::clone(t.rows()))
     }
 
     /// Remove a named relation, returning it if it was registered.
     pub fn deregister(&mut self, name: &str) -> Option<Arc<AuRelation>> {
-        self.tables.remove(name).map(|e| e.rel)
+        self.tables.remove(name).map(|t| Arc::clone(t.rows()))
     }
 
     /// Look up a relation by name.
     pub fn get(&self, name: &str) -> Option<&Arc<AuRelation>> {
-        self.tables.get(name).map(|e| &e.rel)
+        self.tables.get(name).map(|t| t.rows())
+    }
+
+    /// The published table of that name (what the binder scans).
+    pub(crate) fn table(&self, name: &str) -> Option<&Arc<Table>> {
+        self.tables.get(name)
     }
 
     /// The statistics computed when the named relation was registered.
     pub fn stats(&self, name: &str) -> Option<&Arc<TableStats>> {
-        self.tables.get(name).map(|e| &e.stats)
+        self.tables.get(name).map(|t| t.stats())
     }
 
     /// Registered names, in sorted order.
@@ -68,7 +71,7 @@ impl Catalog {
 
     /// `(name, relation)` pairs, in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Arc<AuRelation>)> {
-        self.tables.iter().map(|(n, e)| (n.as_str(), &e.rel))
+        self.tables.iter().map(|(n, t)| (n.as_str(), t.rows()))
     }
 
     /// Number of registered relations.
@@ -93,8 +96,10 @@ impl Catalog {
 /// `prepare` time and its plan pins the scanned relation behind an `Arc`,
 /// so in-flight queries finish on their pinned snapshot; a `register`
 /// becomes visible to statements *prepared after* publication, never to
-/// ones already running. Nothing blocks: readers never wait on writers
-/// beyond the snapshot clone, writers never wait on running queries.
+/// ones already running. Readers never wait on a `register` or
+/// `deregister` beyond the snapshot clone (a [`SharedCatalog::append`]
+/// holds the write lock while it rebuilds the grown table), and writers
+/// never wait on running queries.
 ///
 /// Cloning a `SharedCatalog` shares the underlying catalog (that is the
 /// point — many sessions, one namespace); [`SharedCatalog::snapshot`]
@@ -133,7 +138,8 @@ impl SharedCatalog {
     }
 
     /// The current publication version: bumped by every
-    /// [`SharedCatalog::register`] / [`SharedCatalog::deregister`].
+    /// [`SharedCatalog::register`] / [`SharedCatalog::deregister`] /
+    /// [`SharedCatalog::append`].
     pub fn version(&self) -> u64 {
         self.current.read().expect("catalog lock poisoned").0
     }
@@ -144,28 +150,34 @@ impl SharedCatalog {
     }
 
     /// Publish a new snapshot with `name` registered (copy-on-write:
-    /// the table map is cloned, each relation stays shared behind its
-    /// `Arc`). Returns the replaced relation, if any.
+    /// the table map is cloned, each table stays shared behind its
+    /// `Arc`). The table's columns and statistics are built before the
+    /// write lock is taken; only the insert and the swap run under it.
+    /// Returns the replaced relation, if any, and the version this call
+    /// published (read under the same lock, so a concurrent writer's
+    /// bump can never be reported as this one's).
     pub fn register(
         &self,
         name: impl Into<String>,
         rel: impl Into<Arc<AuRelation>>,
-    ) -> Option<Arc<AuRelation>> {
-        self.publish(|cat| cat.register(name, rel))
+    ) -> (Option<Arc<AuRelation>>, u64) {
+        let name = name.into();
+        let table = Arc::new(Table::new(rel.into()));
+        self.publish(|cat| cat.insert(name, table))
     }
 
     /// Publish a new snapshot with `name` removed, returning it if it was
     /// registered.
     pub fn deregister(&self, name: &str) -> Option<Arc<AuRelation>> {
-        self.publish(|cat| cat.deregister(name))
+        self.publish(|cat| cat.deregister(name)).0
     }
 
-    fn publish<T>(&self, change: impl FnOnce(&mut Catalog) -> T) -> T {
+    fn publish<T>(&self, change: impl FnOnce(&mut Catalog) -> T) -> (T, u64) {
         let mut guard = self.current.write().expect("catalog lock poisoned");
         let mut next = (*guard.1).clone();
         let out = change(&mut next);
         *guard = (guard.0 + 1, Arc::new(next));
-        out
+        (out, guard.0)
     }
 
     /// Publish a new snapshot with `batch`'s rows appended to the named
@@ -174,6 +186,11 @@ impl SharedCatalog {
     /// with the new rows, the snapshot `Arc` is swapped, and the version
     /// bump invalidates any [`crate::PlanCache`] keyed on it. In-flight
     /// queries keep their pinned pre-append relation.
+    ///
+    /// Unlike `register`, the grown table needs the current one, so its
+    /// rows, columns and statistics are all rebuilt **under the write
+    /// lock**: concurrent writers (and readers taking a snapshot) wait for
+    /// the whole rebuild.
     ///
     /// Validation happens before anything is published: a failed append
     /// does **not** bump the version. Returns the table's new total row
@@ -350,6 +367,97 @@ mod tests {
         // stats.
         assert_eq!(before.stats("t").unwrap().rows, 2);
         assert!(after.stats("missing").is_none());
+    }
+
+    /// Every plan over one snapshot scans that snapshot's one table: two
+    /// different texts and an optimizer-rewritten plan share its columns
+    /// and stats; an append publishes a grown table that only plans
+    /// prepared afterwards see.
+    #[test]
+    fn plans_share_the_published_table() {
+        use crate::{Engine, Session};
+        use audb_core::{AuTuple, Mult3, RangeValue};
+        let schema = Schema::new(["a", "b"]);
+        let rows = |from: i64, n: i64| {
+            AuRelation::from_rows(
+                schema.clone(),
+                (from..from + n).map(|i| {
+                    (
+                        AuTuple::new([RangeValue::certain(i), RangeValue::new(i, i + 1, i + 2)]),
+                        Mult3::ONE,
+                    )
+                }),
+            )
+        };
+        let (n, batch) = (40, 8);
+        let session = Session::new(Engine::native());
+        session.register("t", rows(0, n));
+
+        let sorted = session.prepare("SELECT * FROM t ORDER BY a").unwrap();
+        let filtered = session.prepare("SELECT a FROM t WHERE b < 10").unwrap();
+        // The dead column `b` is pruned below the sort: a rewritten plan.
+        let rewritten = session
+            .prepare("SELECT a FROM (SELECT * FROM t ORDER BY a)")
+            .unwrap();
+        assert!(rewritten.plan().opt().is_some());
+        for other in [&filtered, &rewritten] {
+            assert!(std::ptr::eq(
+                sorted.plan().source_columns(),
+                other.plan().source_columns()
+            ));
+            assert!(Arc::ptr_eq(
+                sorted.plan().source_stats(),
+                other.plan().source_stats()
+            ));
+        }
+        assert!(Arc::ptr_eq(
+            sorted.plan().source_stats(),
+            session.catalog().stats("t").unwrap()
+        ));
+
+        let total = (n + batch) as usize;
+        let (appended, _) = session
+            .shared_catalog()
+            .append("t", &rows(n, batch))
+            .unwrap();
+        assert_eq!(appended, total);
+        let grown = session.prepare("SELECT * FROM t ORDER BY a").unwrap();
+        assert_eq!(grown.plan().source_columns().len(), total);
+        assert_eq!(grown.plan().source_stats().rows, total);
+        // The plan pinned before the append keeps the old table.
+        assert_eq!(sorted.plan().source_columns().len(), n as usize);
+        assert_eq!(sorted.plan().source_stats().rows, n as usize);
+        assert!(!Arc::ptr_eq(
+            sorted.plan().source_stats(),
+            grown.plan().source_stats()
+        ));
+    }
+
+    /// Each concurrent `register` reports the version it published: N
+    /// writers see exactly the versions `1..=N`, each once.
+    #[test]
+    fn concurrent_registers_report_their_own_versions() {
+        const WRITERS: u64 = 8;
+        let shared = SharedCatalog::new();
+        // Release every writer at once so the publishes contend.
+        let start = std::sync::Barrier::new(WRITERS as usize);
+        let mut versions: Vec<u64> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..WRITERS)
+                .map(|i| {
+                    let (shared, start) = (&shared, &start);
+                    s.spawn(move || {
+                        let rel = AuRelation::empty(Schema::new(["a"]));
+                        start.wait();
+                        shared.register(format!("t{i}"), rel).1
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        versions.sort_unstable();
+        assert_eq!(versions, (1..=WRITERS).collect::<Vec<_>>());
+        assert_eq!(shared.version(), WRITERS);
+        assert_eq!(shared.snapshot().len(), WRITERS as usize);
     }
 
     #[test]

@@ -392,9 +392,8 @@ fn run_pipelined<B: Backend + ?Sized>(
             // Columnarize once per fused stage; every step inside the
             // stage is then a vectorized column sweep. When the stage
             // reads the plan's source unchanged (the common scan →
-            // select/project head), the plan's cached columnar form is
-            // used — transposed once, shared across executions, the
-            // stand-in for columnar base-table storage.
+            // select/project head), the source table's columnar form is
+            // used — built once when the table was published.
             let cols_local;
             let (cols, on_source): (&AuColumns, bool) = match &cur {
                 Cow::Borrowed(rel) if std::ptr::eq(*rel, plan.source()) => {
@@ -408,20 +407,16 @@ fn run_pipelined<B: Backend + ?Sized>(
             let batches: Vec<audb_core::AuBatch<'_>> = cols.batches(batch_size).collect();
             let n_batches = batches.len();
             // Zone-map pruning applies only when this stage reads the
-            // plan's source unchanged: the statistics describe source
-            // rows, so batch `i` covers rows `[i·batch, i·batch + len)`
-            // of exactly the relation the zones were built over.
-            let verdicts: Option<Vec<BatchVerdict>> = if prune && on_source {
+            // plan's source unchanged: the statistics were built over the
+            // same table's columns, so batch `i` covers rows
+            // `[i·batch, i·batch + len)` of exactly the zones' relation.
+            let verdicts: Option<Vec<BatchVerdict>> = (prune && on_source).then(|| {
                 let stats = plan.source_stats();
-                (stats.rows == cols.len()).then(|| {
-                    batches
-                        .iter()
-                        .map(|b| batch_verdict(&steps, stats, b.index() * batch_size, b.len()))
-                        .collect()
-                })
-            } else {
-                None
-            };
+                batches
+                    .iter()
+                    .map(|b| batch_verdict(&steps, stats, b.index() * batch_size, b.len()))
+                    .collect()
+            });
             let skipped = verdicts
                 .as_ref()
                 .map_or(0, |vs| vs.iter().filter(|v| v.skip).count());

@@ -65,8 +65,9 @@ pub struct OptInfo {
 }
 
 /// Optimize a plan against its source statistics. Returns the input plan
-/// unchanged (a clone sharing the same source `Arc` and caches) when no
-/// rule applies.
+/// unchanged (a clone sharing the same source table) when no rule
+/// applies; a rewritten plan scans that same table and keeps the
+/// original's SQL text.
 pub fn optimize(plan: &Plan) -> Plan {
     let stats = Arc::clone(plan.source_stats());
     let src_schema = plan.schemas()[0].clone();
@@ -82,19 +83,17 @@ pub fn optimize(plan: &Plan) -> Plan {
     }
     let before: Vec<String> = plan.ops().iter().map(|op| op.to_string()).collect();
     match rebuild(plan, &ops) {
-        Ok(rewritten) => rewritten
-            .adopt_caches(plan)
-            .with_opt(Arc::new(OptInfo { before, rules })),
+        Ok(rewritten) => rewritten.with_opt(plan, Arc::new(OptInfo { before, rules })),
         // A rewrite that fails validation would be an optimizer bug; never
         // surface it as a user error — run the original plan instead.
         Err(_) => plan.clone(),
     }
 }
 
-/// Rebuild an operator chain over the original plan's source through the
+/// Rebuild an operator chain over the original plan's table through the
 /// validating builder.
 fn rebuild(plan: &Plan, ops: &[Op]) -> Result<Plan, crate::error::PlanError> {
-    let mut q = Query::scan(Arc::clone(plan.source_arc()));
+    let mut q = Query::scan_table(Arc::clone(plan.table()));
     for op in ops {
         q = match op {
             Op::Select { pred } => q.select(pred.clone()),

@@ -17,7 +17,7 @@
 
 use crate::error::PlanError;
 use crate::optimize::OptInfo;
-use audb_core::{AuRelation, AuWindowSpec, RangeExpr, TableStats, WinAgg};
+use audb_core::{AuColumns, AuRelation, AuWindowSpec, RangeExpr, TableStats, WinAgg};
 use audb_rel::Schema;
 use std::fmt;
 use std::sync::Arc;
@@ -282,12 +282,44 @@ impl fmt::Display for Op {
     }
 }
 
+/// A base table: the rows, their columnar form and their statistics, built
+/// together by [`Table::new`] and never mutated (the fields are private to
+/// this module, so the three always describe the same data).
+#[derive(Debug)]
+pub(crate) struct Table {
+    rows: Arc<AuRelation>,
+    cols: AuColumns,
+    stats: Arc<TableStats>,
+}
+
+impl Table {
+    /// Transpose `rows` and sweep the columns for statistics.
+    pub(crate) fn new(rows: Arc<AuRelation>) -> Table {
+        let cols = rows.to_columns();
+        let stats = Arc::new(TableStats::of_columns(&cols));
+        Table { rows, cols, stats }
+    }
+
+    pub(crate) fn rows(&self) -> &Arc<AuRelation> {
+        &self.rows
+    }
+
+    pub(crate) fn stats(&self) -> &Arc<TableStats> {
+        &self.stats
+    }
+}
+
 /// A validated logical plan: a scanned source plus a resolved operator
 /// chain. Cheap to clone (the source is shared behind an [`Arc`]); execute
 /// it through [`crate::Engine`] or any [`crate::Backend`].
+///
+/// **One `Table` rule:** a plan never builds columns or stats of its own.
+/// It scans an immutable table built once — at catalog publish, or per
+/// [`Query::scan`] / [`Plan::with_source`] — and every plan over one
+/// snapshot, optimizer rewrites included, shares that table.
 #[derive(Clone, Debug)]
 pub struct Plan {
-    source: Arc<AuRelation>,
+    table: Arc<Table>,
     ops: Vec<Op>,
     /// Schema after each op: `schemas\[0\]` is the source schema,
     /// `schemas[i + 1]` the output of `ops[i]`.
@@ -295,16 +327,6 @@ pub struct Plan {
     /// The SQL text this plan was compiled from, when it came through the
     /// SQL frontend (shown by `Engine::explain`).
     sql: Option<String>,
-    /// Lazily built columnar form of the source, shared across clones and
-    /// executions — the plan-level stand-in for columnar base-table
-    /// storage: the pipeline executor's first fused stage reads it instead
-    /// of re-transposing the row source on every run.
-    source_cols: Arc<std::sync::OnceLock<audb_core::AuColumns>>,
-    /// Statistics of the scanned source: attached by the binder when the
-    /// catalog already computed them at publish time, otherwise computed
-    /// lazily on first use and shared across clones (same lifetime rules
-    /// as `source_cols`).
-    stats: Arc<std::sync::OnceLock<Arc<TableStats>>>,
     /// Optimizer provenance: the pre-optimization rendering and the
     /// applied rewrites, attached by [`crate::optimize::optimize`] so
     /// `explain` can show before/after even for cached plans.
@@ -314,42 +336,33 @@ pub struct Plan {
 impl Plan {
     /// The scanned source relation.
     pub fn source(&self) -> &AuRelation {
-        &self.source
+        &self.table.rows
     }
 
-    /// The scanned source in columnar form, transposed on first use and
-    /// cached for the plan's lifetime (shared across clones). Executors
-    /// use this when their scan borrows the source unchanged; backends
-    /// whose scan rewrites the relation (e.g. the rewrite backend's
-    /// encoding round-trip) transpose their own scan output instead.
-    pub fn source_columns(&self) -> &audb_core::AuColumns {
-        self.source_cols.get_or_init(|| self.source.to_columns())
+    /// The scanned source in columnar form, built once with the source's
+    /// table. Executors use this when their scan borrows the source
+    /// unchanged; backends whose scan rewrites the relation (e.g. the
+    /// rewrite backend's encoding round-trip) transpose their own scan
+    /// output instead.
+    pub fn source_columns(&self) -> &AuColumns {
+        &self.table.cols
     }
 
     /// The scanned source, shared (for re-registering a plan's input, e.g.
     /// when compiling its printed SQL back against a catalog).
     pub fn source_arc(&self) -> &Arc<AuRelation> {
-        &self.source
+        &self.table.rows
     }
 
-    /// Statistics of the scanned source. Prefers the block the binder
-    /// attached (computed once at catalog publish time); otherwise sweeps
-    /// the source on first use — over the columnar form when it is already
-    /// materialized — and caches the result for the plan's lifetime.
+    /// Statistics of the scanned source, computed once with the source's
+    /// table.
     pub fn source_stats(&self) -> &Arc<TableStats> {
-        self.stats.get_or_init(|| {
-            Arc::new(match self.source_cols.get() {
-                Some(cols) => TableStats::of_columns(cols),
-                None => TableStats::of_relation(&self.source),
-            })
-        })
+        &self.table.stats
     }
 
-    /// Attach pre-computed source statistics (the binder's hook: the
-    /// catalog computes them at publish time). A no-op when statistics
-    /// were already computed or attached.
-    pub fn attach_stats(&self, stats: Arc<TableStats>) {
-        let _ = self.stats.set(stats);
+    /// The scanned table, for rebuilding a chain over the same source.
+    pub(crate) fn table(&self) -> &Arc<Table> {
+        &self.table
     }
 
     /// Optimizer provenance, when [`crate::optimize::optimize`] rewrote
@@ -358,21 +371,11 @@ impl Plan {
         self.opt.as_deref()
     }
 
-    /// Attach optimizer provenance (used by [`crate::optimize`]).
-    pub(crate) fn with_opt(mut self, info: Arc<OptInfo>) -> Plan {
-        self.opt = Some(info);
-        self
-    }
-
-    /// Adopt the shared caches and SQL provenance of the plan this one was
-    /// rewritten from. Sound only when both scan the same source `Arc` —
-    /// the optimizer rebuilds over `source_arc()`, so the columnar form
-    /// and statistics transfer as-is.
-    pub(crate) fn adopt_caches(mut self, original: &Plan) -> Plan {
-        debug_assert!(Arc::ptr_eq(&self.source, &original.source));
+    /// Attach optimizer provenance and the SQL text of the plan this one
+    /// was rewritten from (used by [`crate::optimize`]).
+    pub(crate) fn with_opt(mut self, original: &Plan, info: Arc<OptInfo>) -> Plan {
         self.sql = original.sql.clone();
-        self.source_cols = Arc::clone(&original.source_cols);
-        self.stats = Arc::clone(&original.stats);
+        self.opt = Some(info);
         self
     }
 
@@ -426,12 +429,10 @@ impl Plan {
             });
         }
         Ok(Plan {
-            source,
+            table: Arc::new(Table::new(source)),
             ops: self.ops.clone(),
             schemas: self.schemas.clone(),
             sql: self.sql.clone(),
-            source_cols: Arc::new(std::sync::OnceLock::new()),
-            stats: Arc::new(std::sync::OnceLock::new()),
             opt: None,
         })
     }
@@ -440,12 +441,10 @@ impl Plan {
     /// pre-operator chain of a maintained query).
     pub(crate) fn prefix(&self, n: usize) -> Plan {
         Plan {
-            source: Arc::clone(&self.source),
+            table: Arc::clone(&self.table),
             ops: self.ops[..n].to_vec(),
             schemas: self.schemas[..=n].to_vec(),
             sql: None,
-            source_cols: Arc::clone(&self.source_cols),
-            stats: Arc::clone(&self.stats),
             opt: None,
         }
     }
@@ -481,7 +480,7 @@ pub struct Query {
 
 #[derive(Clone, Debug)]
 struct QueryState {
-    source: Arc<AuRelation>,
+    table: Arc<Table>,
     ops: Vec<Op>,
     schemas: Vec<Schema>,
 }
@@ -530,12 +529,21 @@ fn check_new_name(schema: &Schema, name: &str) -> Result<(), PlanError> {
 
 impl Query {
     /// Start a plan by scanning an AU-relation. Accepts an owned relation
-    /// or an `Arc` (share the `Arc` to build many plans over one source
-    /// without copying the data). The source schema itself is validated:
-    /// repeated attribute names are rejected up front, because every
-    /// downstream name resolution would silently bind to the first.
+    /// or an `Arc` (the rows are shared, never copied). Builds the
+    /// source's columnar form and statistics here, once per call — to
+    /// share them across many plans, register the relation in a
+    /// [`crate::Catalog`] and compile SQL against it. The source schema
+    /// itself is validated: repeated attribute names are rejected up
+    /// front, because every downstream name resolution would silently
+    /// bind to the first.
     pub fn scan(rel: impl Into<Arc<AuRelation>>) -> Query {
-        let source: Arc<AuRelation> = rel.into();
+        Query::scan_table(Arc::new(Table::new(rel.into())))
+    }
+
+    /// Start a plan by scanning an already-built table (a catalog entry,
+    /// or the table of a plan being rebuilt).
+    pub(crate) fn scan_table(table: Arc<Table>) -> Query {
+        let source = &table.rows;
         let mut seen: Vec<&str> = Vec::with_capacity(source.schema.arity());
         for c in source.schema.cols() {
             if seen.contains(&c.as_str()) {
@@ -548,7 +556,7 @@ impl Query {
         let schema = source.schema.clone();
         Query {
             state: Ok(QueryState {
-                source,
+                table,
                 ops: Vec::new(),
                 schemas: vec![schema],
             }),
@@ -723,12 +731,10 @@ impl Query {
     pub fn build(self) -> Result<Plan, PlanError> {
         let state = self.state?;
         Ok(Plan {
-            source: state.source,
+            table: state.table,
             ops: state.ops,
             schemas: state.schemas,
             sql: None,
-            source_cols: Arc::new(std::sync::OnceLock::new()),
-            stats: Arc::new(std::sync::OnceLock::new()),
             opt: None,
         })
     }

@@ -177,13 +177,13 @@ fn register(state: &ServerState, req: &Request) -> Reply {
     match audb_workloads::read_au_csv(req.body.as_slice()) {
         Ok(rel) => {
             let rows = rel.rows().len();
-            state.catalog.register(&name, rel);
+            let (_, version) = state.catalog.register(&name, rel);
             (
                 200,
                 Json::obj([
                     ("registered", Json::Str(name)),
                     ("rows", Json::Int(rows as i64)),
-                    ("catalog_version", Json::Int(state.catalog.version() as i64)),
+                    ("catalog_version", Json::Int(version as i64)),
                 ]),
             )
         }
@@ -229,12 +229,12 @@ fn append(state: &ServerState, req: &Request) -> Reply {
 
 fn stats_body(state: &ServerState) -> Json {
     let cache = state.plan_cache.stats();
-    let snapshot = state.catalog.snapshot();
+    let (version, snapshot) = state.catalog.snapshot_versioned();
     Json::obj([
         ("requests", Json::Int(state.requests() as i64)),
         ("errors", Json::Int(state.errors() as i64)),
         ("threads", Json::Int(state.threads as i64)),
-        ("catalog_version", Json::Int(state.catalog.version() as i64)),
+        ("catalog_version", Json::Int(version as i64)),
         (
             "tables",
             Json::Arr(
