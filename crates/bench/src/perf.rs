@@ -40,7 +40,9 @@
 //! `Session::subscribe` window subscription in 64-row appends on **both
 //! strategy arms within the same run** — the incremental sweep (live
 //! `ConnectedHeap` state, per-append p50/p99 and sustained appends/sec)
-//! and a forced full recompute per batch (`with_cutoff(usize::MAX)`).
+//! and a full recompute per batch (the plan re-run over the grown
+//! relation through `Plan::with_source`, what a subscription without
+//! sweep state does).
 //! The `streaming_16k_speedup` headline is their within-run ratio; only
 //! within-run pairs are gated (cross-run noise on this container is
 //! ±20%). CI asserts incremental ≥ recompute on every row and ≥ 5× when
@@ -55,11 +57,12 @@
 //! acceptance gate of the optimization PR.
 
 use audb_core::{AuRelation, AuTuple, Mult3, PhysType, RangeExpr, RangeValue, WinAgg};
-use audb_engine::{Engine, ExecMode, MaintainedQuery, Plan, Query, Session, SharedCatalog};
+use audb_engine::{Engine, ExecMode, Plan, Query, Session, SharedCatalog};
 use audb_rel::Schema;
 use audb_workloads::runner::{sort_plan, window_plan};
 use audb_workloads::synthetic::{gen_sort_table, gen_window_table, SyntheticConfig};
 use std::fmt::Write as _;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Row counts tracked in the artifact by default.
@@ -500,13 +503,10 @@ fn stream_batches(n: usize, batch: usize) -> Vec<AuRelation> {
     out
 }
 
-fn stream_subscription(cutoff: usize) -> MaintainedQuery {
+fn stream_session() -> Session {
     let catalog = SharedCatalog::new();
     catalog.register("s", AuRelation::empty(stream_schema()));
     Session::with_catalog(Engine::native(), catalog)
-        .subscribe(STREAM_SQL)
-        .expect("streaming SQL compiles")
-        .with_cutoff(cutoff)
 }
 
 /// Measure the streaming section: the same append sequence absorbed
@@ -518,7 +518,10 @@ pub fn measure_streaming(cfg: &BenchConfig) -> Vec<StreamingRun> {
         .map(|&n| {
             let batches = stream_batches(n, STREAM_BATCH);
 
-            let mut q = stream_subscription(STREAM_BATCH);
+            let session = stream_session();
+            let mut q = session
+                .subscribe(STREAM_SQL)
+                .expect("streaming SQL compiles");
             let mut lat = Vec::with_capacity(batches.len());
             let started = Instant::now();
             for b in &batches {
@@ -533,12 +536,16 @@ pub fn measure_streaming(cfg: &BenchConfig) -> Vec<StreamingRun> {
             let p50_us = lat[lat.len() / 2];
             let p99_us = lat[(lat.len() - 1) * 99 / 100];
 
-            // Same batches, strategy forced to recompute: the cutoff is
-            // never reached, so every append re-runs the full plan.
-            let mut q = stream_subscription(usize::MAX);
+            // Same batches, no sweep state: every append re-runs the full
+            // plan over the grown relation.
+            let plan = q.plan();
+            let mut grown = Arc::new(AuRelation::empty(stream_schema()));
             let started = Instant::now();
             for b in &batches {
-                std::hint::black_box(q.append(b).expect("in-order append"));
+                Arc::make_mut(&mut grown).append(&mut b.clone());
+                let rerun = plan.with_source(Arc::clone(&grown)).expect("same schema");
+                let out = session.engine().execute(&rerun).expect("recompute");
+                std::hint::black_box(out.normalize());
             }
             let recompute_ms = started.elapsed().as_secs_f64() * 1e3;
 

@@ -23,8 +23,8 @@
 //! between methods, so those are the trait's required methods.
 
 use crate::error::EngineError;
-use crate::exec::{self, ExecMode, ExecTrace, DEFAULT_BATCH_SIZE};
-use crate::plan::{Op, Plan};
+use crate::exec::ExecMode;
+use crate::plan::Op;
 use audb_core::encode::{decode, encode};
 use audb_core::{
     au_select, sort_ref, window_ref, AuRelation, AuWindowSpec, CmpSemantics, RangeValue, WinAgg,
@@ -32,10 +32,10 @@ use audb_core::{
 use audb_rewrite::JoinStrategy;
 use std::borrow::Cow;
 
-/// A physical implementation of the logical plan language. `execute` runs
-/// the operator chain through the physical execution layer
-/// ([`crate::exec`]) in the backend's [`Backend::preferred_mode`]; the
-/// per-operator hooks are what distinguish the three methods.
+/// A physical implementation of the logical plan language. Plans run
+/// through [`crate::Engine::execute_traced`], which hands the operator chain
+/// to the physical execution layer ([`crate::exec`]); the per-operator
+/// hooks are what distinguish the three methods.
 pub trait Backend {
     /// Stable backend name (used in explain output and disagreement
     /// reports).
@@ -89,26 +89,6 @@ pub trait Backend {
     /// and parallelism.
     fn preferred_mode(&self) -> ExecMode {
         ExecMode::Materialized
-    }
-
-    /// Execute a validated plan through the physical execution layer in
-    /// this backend's preferred mode. Selection and projection are shared
-    /// across backends (the \[24\] semantics of `audb-core`, fused into
-    /// per-batch chains under [`ExecMode::Pipelined`]); the order-based
-    /// operators dispatch to the backend hooks as pipeline breakers.
-    fn execute(&self, plan: &Plan) -> Result<AuRelation, EngineError> {
-        self.execute_traced(plan).map(|(rel, _)| rel)
-    }
-
-    /// Like [`Backend::execute`], also returning the per-operator wall
-    /// times and batch counts the executor measured. The default routes
-    /// through the cost model (`choose_exec`) so bare
-    /// backends make the same stats-driven mode/batch-size choice the
-    /// [`crate::Engine`] does.
-    fn execute_traced(&self, plan: &Plan) -> Result<(AuRelation, ExecTrace), EngineError> {
-        let choice =
-            crate::engine::choose_exec(plan, self.preferred_mode(), None, DEFAULT_BATCH_SIZE);
-        exec::execute(self, plan, choice.mode, choice.batch_size)
     }
 }
 

@@ -101,8 +101,8 @@ pub struct ExecChoice {
     pub reason: String,
 }
 
-/// Stats-driven execution choice, shared by [`Engine`] and the default
-/// [`Backend::execute_traced`]: a forced mode always wins; a backend that
+/// Stats-driven execution choice, made by [`Engine::execute_traced`] and
+/// shown by [`Engine::explain`]: a forced mode always wins; a backend that
 /// prefers materialized execution (the reference oracle) keeps it; tiny
 /// inputs run materialized; everything else pipelines, with the batch
 /// size widened for large inputs unless the caller pinned one.
@@ -244,20 +244,6 @@ impl Engine {
     pub fn with_pruning(mut self, pruning: bool) -> Self {
         self.pruning = pruning;
         self
-    }
-
-    /// The pipeline executor's batch size.
-    pub fn batch_size(&self) -> usize {
-        self.batch_size
-    }
-
-    /// The execution mode a given backend is *capable* of preferring on
-    /// this engine: the forced override when [`Engine::with_exec_mode`]
-    /// was called, the backend's capability hint otherwise. The actual
-    /// per-plan decision is made by `choose_exec` from source
-    /// statistics; this method reports the pre-cost-model ceiling.
-    pub fn exec_mode_for(&self, backend: &dyn Backend) -> ExecMode {
-        self.exec_mode.unwrap_or_else(|| backend.preferred_mode())
     }
 
     /// The cost model's decision for this plan on this engine's effective

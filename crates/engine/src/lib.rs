@@ -49,7 +49,7 @@ pub use catalog::{Catalog, CatalogAppendError, SharedCatalog};
 pub use engine::{BackendChoice, BackendRun, Engine, Explain, ExplainStep, RunAll};
 pub use error::{EngineError, PlanError, SessionError};
 pub use exec::{ExecMode, ExecTrace, OpTiming, Pipeline, DEFAULT_BATCH_SIZE};
-pub use maintain::{Delta, MaintainedQuery, Strategy, DEFAULT_INCREMENTAL_CUTOFF};
+pub use maintain::{Delta, MaintainedQuery, Strategy};
 pub use optimize::{optimize, AppliedRule, OptInfo};
 pub use plan::{Agg, ColRef, Op, Plan, Query, WindowSpec};
 pub use plancache::{CacheStats, PlanCache};

@@ -17,11 +17,11 @@
 //! Each append batch picks [`Strategy::Incremental`] or
 //! [`Strategy::Recompute`], visible in [`MaintainedQuery::explain`]:
 //!
-//! * **Tiny relations recompute.** Below the cutoff (default
-//!   [`DEFAULT_INCREMENTAL_CUTOFF`] accumulated rows) a full recompute is
-//!   cheaper than maintaining sweep state; the maintained state is built
-//!   lazily the first time the relation crosses the cutoff.
-//! * **Window maintenance needs the native fast path.** If the engine's
+//! * **State is built at subscribe.** Subscribing runs the row-wise prefix
+//!   once over the subscribed table, builds the final operator's sweep
+//!   state from it and reads the value off that state, so an in-order
+//!   subscription is incremental from its first append.
+//! * **Maintenance needs the native fast path.** If the engine's
 //!   effective backend is not `Native`, or the data hits the documented
 //!   native-window fallbacks (duplicate multiplicities after
 //!   normalization, uncertain `PARTITION BY` values), maintenance is
@@ -30,13 +30,14 @@
 //!   engine's bound-agreement promise.
 //! * **Out-of-order appends rebuild.** The window sweep consumes rows in
 //!   ascending ORDER BY position; a batch overlapping the accumulated
-//!   frontier forces one recompute and a state rebuild (the rebuilt sweep
-//!   absorbs everything seen so far as a single batch). Top-k maintenance
-//!   accepts appends in any order and never rebuilds.
+//!   frontier rebuilds the state from every accumulated row through the
+//!   same step subscribe uses, and is reported as a recompute. Top-k
+//!   maintenance accepts appends in any order and never rebuilds.
 //!
-//! Ground truth is always the engine itself: the recompute path *is*
-//! `engine.execute(plan.with_source(accumulated))`, and the property tests
-//! pin the incremental path bag-equal to it on all three backends.
+//! Ground truth is always the engine itself: with maintenance off an
+//! append runs `engine.execute(plan.with_source(accumulated))`, and the
+//! property tests pin the maintained value bag-equal to that on all three
+//! backends.
 //!
 //! ## Delta semantics
 //!
@@ -47,17 +48,13 @@
 //! reconstructs [`MaintainedQuery::value`].
 
 use crate::backend;
-use crate::engine::Engine;
+use crate::engine::{BackendChoice, Engine};
 use crate::error::SessionError;
 use crate::plan::{Op, Plan};
 use audb_core::{AuRelation, AuTuple, Mult3, SortKey};
 use audb_native::{MaintainedWindow, TopKMaintain};
 use std::collections::BTreeMap;
-
-/// Accumulated row count below which an append recomputes instead of
-/// maintaining sweep state (override per subscription with
-/// [`MaintainedQuery::with_cutoff`]).
-pub const DEFAULT_INCREMENTAL_CUTOFF: usize = 256;
+use std::sync::Arc;
 
 /// How one append batch was absorbed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -65,7 +62,8 @@ pub enum Strategy {
     /// The batch updated live sweep state in `O(log n)` per row.
     #[default]
     Incremental,
-    /// The full plan re-ran over the accumulated relation.
+    /// The full plan re-ran over the accumulated relation, or the sweep
+    /// state was rebuilt from it.
     Recompute,
 }
 
@@ -97,19 +95,13 @@ impl Delta {
     }
 }
 
-/// The final maintainable operator of the subscribed plan.
-enum MaintainKind {
-    Window {
-        state: Option<MaintainedWindow>,
-    },
-    TopK {
-        state: Option<TopKMaintain>,
-    },
-    /// The plan's shape is not maintainable; every append recomputes.
-    AlwaysRecompute {
-        reason: String,
-    },
+/// Live sweep state of the plan's final operator.
+enum Sweep {
+    Window(MaintainedWindow),
+    TopK(TopKMaintain),
 }
+
+type ResultMap = BTreeMap<SortKey, (AuTuple, Mult3)>;
 
 /// A subscribed query: a compiled [`Plan`] whose result stays current
 /// under [`MaintainedQuery::append`]ed rows. Obtain one from
@@ -119,17 +111,18 @@ pub struct MaintainedQuery {
     plan: Plan,
     /// The row-wise prefix of the plan (everything before the final op).
     pre: Plan,
-    kind: MaintainKind,
-    cutoff: usize,
-    /// Raw accumulated source rows (initial relation + every batch).
-    accum: AuRelation,
+    /// Raw accumulated source rows (initial relation + every batch). Shares
+    /// the subscribed table's rows until the first append.
+    accum: Arc<AuRelation>,
     /// The normalized current result: row key → (row, multiplicity).
-    current: BTreeMap<SortKey, (AuTuple, Mult3)>,
+    current: ResultMap,
     /// Open (provisional) window rows contributed to `current` by the last
-    /// incremental append — removed again on the next one.
+    /// seed or incremental append — removed again on the next one.
     open_prev: Vec<(AuTuple, Mult3)>,
+    /// Live sweep state; `None` exactly when `fallback` is set.
+    sweep: Option<Sweep>,
     /// Maintenance permanently disabled for this subscription, and why.
-    fallback_forever: Option<String>,
+    fallback: Option<String>,
     incremental_appends: u64,
     recompute_appends: u64,
     last: Option<(Strategy, usize)>,
@@ -137,78 +130,44 @@ pub struct MaintainedQuery {
 
 impl MaintainedQuery {
     pub(crate) fn new(engine: Engine, plan: Plan) -> Result<MaintainedQuery, SessionError> {
-        let kind = match plan.ops().last() {
-            Some(Op::Window { .. }) | Some(Op::TopK { .. })
-                if plan.ops()[..plan.ops().len() - 1].iter().all(|op| {
-                    matches!(
-                        op,
-                        Op::Select { .. } | Op::Project { .. } | Op::ProjectExprs { .. }
+        let ops = plan.ops();
+        let row_wise = ops.iter().rev().skip(1).all(|op| {
+            matches!(
+                op,
+                Op::Select { .. } | Op::Project { .. } | Op::ProjectExprs { .. }
+            )
+        });
+        let fallback = match ops.last() {
+            Some(op @ (Op::Window { .. } | Op::TopK { .. })) if row_wise => {
+                (engine.effective() != BackendChoice::Native).then(|| {
+                    format!(
+                        "{} maintenance requires the native backend (engine runs {})",
+                        op.name(),
+                        engine.effective()
                     )
-                }) =>
-            {
-                match plan.ops().last() {
-                    Some(Op::Window { .. }) => MaintainKind::Window { state: None },
-                    _ => MaintainKind::TopK { state: None },
-                }
+                })
             }
-            Some(op) => MaintainKind::AlwaysRecompute {
-                reason: format!("final operator `{}` is not maintainable", op.name()),
-            },
-            None => MaintainKind::AlwaysRecompute {
-                reason: "plan has no maintainable operator".to_string(),
-            },
+            Some(op) => Some(format!(
+                "final operator `{}` is not maintainable",
+                op.name()
+            )),
+            None => Some("plan has no maintainable operator".to_string()),
         };
-        let pre = plan.prefix(plan.ops().len().saturating_sub(1).min(plan.ops().len()));
-        let accum = plan.source().clone();
         let mut q = MaintainedQuery {
             engine,
-            pre,
-            kind,
-            cutoff: DEFAULT_INCREMENTAL_CUTOFF,
-            accum,
+            pre: plan.prefix(ops.len().saturating_sub(1)),
+            accum: Arc::clone(plan.source_arc()),
             current: BTreeMap::new(),
             open_prev: Vec::new(),
-            fallback_forever: None,
+            sweep: None,
+            fallback,
             incremental_appends: 0,
             recompute_appends: 0,
             last: None,
             plan,
         };
-        // Conditions that can only be observed, never un-observed, are
-        // checked once up front so explain() is honest from the start.
-        if matches!(q.kind, MaintainKind::Window { .. }) {
-            if q.engine.effective() != crate::engine::BackendChoice::Native {
-                q.fallback_forever = Some(format!(
-                    "window maintenance requires the native backend (engine runs {})",
-                    q.engine.effective()
-                ));
-            } else if let Some(Op::Window { spec, .. }) = q.plan.ops().last() {
-                let pre_rel = q.engine.execute(&q.pre)?.normalize();
-                if backend::Native::window_needs_reference(&pre_rel, spec) {
-                    q.fallback_forever = Some(
-                        "initial relation needs the reference window \
-                         (duplicate multiplicities or uncertain PARTITION BY)"
-                            .to_string(),
-                    );
-                }
-            }
-        } else if matches!(q.kind, MaintainKind::TopK { .. })
-            && q.engine.effective() != crate::engine::BackendChoice::Native
-        {
-            q.fallback_forever = Some(format!(
-                "top-k maintenance requires the native backend (engine runs {})",
-                q.engine.effective()
-            ));
-        }
-        q.recompute_current()?;
+        q.seed()?;
         Ok(q)
-    }
-
-    /// Override the tiny-relation cutoff (accumulated rows below which
-    /// appends recompute instead of maintaining sweep state).
-    pub fn with_cutoff(mut self, cutoff: usize) -> Self {
-        self.cutoff = cutoff;
-        self
     }
 
     /// The compiled plan this subscription maintains.
@@ -243,20 +202,20 @@ impl MaintainedQuery {
                 },
             ));
         }
+        let accum = Arc::make_mut(&mut self.accum);
         for row in batch.rows() {
-            self.accum.push(row.tuple.clone(), row.mult);
+            accum.push(row.tuple.clone(), row.mult);
         }
-        let strategy = self.try_incremental(batch)?;
-        let delta = match strategy {
-            Strategy::Incremental => {
+        let (strategy, delta) = match self.try_incremental(batch)? {
+            Some(delta) => {
                 self.incremental_appends += 1;
-                self.incremental_delta()
+                (Strategy::Incremental, delta)
             }
-            Strategy::Recompute => {
+            None => {
                 self.recompute_appends += 1;
                 let before = std::mem::take(&mut self.current);
-                self.recompute_current()?;
-                diff_maps(&before, &self.current)
+                self.seed()?;
+                (Strategy::Recompute, diff_maps(&before, &self.current))
             }
         };
         self.last = Some((strategy, batch.rows().len()));
@@ -264,23 +223,16 @@ impl MaintainedQuery {
     }
 
     /// The engine's explain output for the subscribed plan, followed by
-    /// stable maintenance lines (strategy, cutoff, append counts).
+    /// stable maintenance lines (strategy, append counts).
     pub fn explain(&self) -> String {
         let mut s = self.engine.explain(&self.plan).to_string();
         if !s.ends_with('\n') {
             s.push('\n');
         }
-        let mode = match (&self.kind, &self.fallback_forever) {
-            (MaintainKind::AlwaysRecompute { reason }, _) => {
-                format!("always recompute — {reason}")
-            }
-            (_, Some(reason)) => format!("always recompute — {reason}"),
-            (MaintainKind::Window { .. }, None) => {
-                format!("window incremental (cutoff {})", self.cutoff)
-            }
-            (MaintainKind::TopK { .. }, None) => {
-                format!("top-k incremental (cutoff {})", self.cutoff)
-            }
+        let mode = match (&self.fallback, &self.sweep) {
+            (Some(reason), _) => format!("always recompute — {reason}"),
+            (None, Some(Sweep::Window(_))) => "window incremental".to_string(),
+            (None, _) => "top-k incremental".to_string(),
         };
         s.push_str(&format!("maintain: {mode}\n"));
         s.push_str(&format!(
@@ -293,207 +245,137 @@ impl MaintainedQuery {
         s
     }
 
-    /// Decide the batch's strategy and, when incremental, absorb it into
-    /// the live state. The accumulated raw rows are already updated.
-    fn try_incremental(&mut self, batch: &AuRelation) -> Result<Strategy, SessionError> {
-        if self.fallback_forever.is_some() {
-            return Ok(Strategy::Recompute);
-        }
-        match &self.kind {
-            MaintainKind::AlwaysRecompute { .. } => Ok(Strategy::Recompute),
-            MaintainKind::Window { .. } => self.try_incremental_window(batch),
-            MaintainKind::TopK { .. } => self.try_incremental_topk(batch),
-        }
+    /// `plan` (the full plan or its row-wise prefix) over the accumulated
+    /// rows. Until the first append those are the subscribed table's own
+    /// rows, so the plan runs as bound, over the catalog's columns.
+    fn over_accum(&self, plan: &Plan) -> Result<AuRelation, SessionError> {
+        let out = if Arc::ptr_eq(plan.source_arc(), &self.accum) {
+            self.engine.execute(plan)?
+        } else {
+            self.engine
+                .execute(&plan.with_source(Arc::clone(&self.accum))?)?
+        };
+        Ok(out)
     }
 
-    fn try_incremental_window(&mut self, batch: &AuRelation) -> Result<Strategy, SessionError> {
-        if self.accum.rows().len() < self.cutoff {
-            // Tiny relation: recompute, and drop any stale state so the
-            // next crossing of the cutoff rebuilds from scratch.
-            if let MaintainKind::Window { state } = &mut self.kind {
-                *state = None;
-            }
-            return Ok(Strategy::Recompute);
-        }
-        let Some(Op::Window {
-            spec,
-            agg,
-            out_name,
-        }) = self.plan.ops().last().cloned()
-        else {
-            unreachable!("kind is Window only for window plans");
-        };
-        // Row-wise prefix over the batch alone ≡ its contribution to the
-        // prefix over the accumulated relation.
-        let pre_batch = self.engine.execute(&self.pre.with_source(batch.clone())?)?;
-        let pre_batch = pre_batch.normalize();
-        // The native window's documented fallbacks are sticky: a duplicate
-        // multiplicity or uncertain partition value stays in the data.
-        if pre_batch.rows().iter().any(|r| r.mult.ub > 1) {
-            self.fallback_forever =
-                Some("appended rows carry duplicate multiplicities (k↑ > 1)".to_string());
-            if let MaintainKind::Window { state } = &mut self.kind {
-                *state = None;
-            }
-            return Ok(Strategy::Recompute);
-        }
-        let MaintainKind::Window { state } = &mut self.kind else {
-            unreachable!();
-        };
-        if let Some(m) = state {
-            match m.check_batch(&pre_batch) {
-                Ok(()) => {
-                    m.apply(&pre_batch);
-                    return Ok(Strategy::Incremental);
-                }
-                Err(reason) => {
-                    if reason.contains("PARTITION BY") {
-                        self.fallback_forever = Some(reason);
-                        *state = None;
-                        return Ok(Strategy::Recompute);
-                    }
-                    // Frontier overlap: rebuild below, recompute this round.
-                    *state = None;
-                }
-            }
-        }
-        // Build (or rebuild) the sweep from everything seen so far as one
-        // batch; this append is answered by recompute, the next in-order
-        // batch goes incremental.
-        let pre_all = self
-            .engine
-            .execute(&self.pre.with_source(self.accum.clone())?)?
-            .normalize();
-        if backend::Native::window_needs_reference(&pre_all, &spec) {
-            self.fallback_forever = Some(
-                "accumulated relation needs the reference window \
-                 (duplicate multiplicities or uncertain PARTITION BY)"
-                    .to_string(),
-            );
-            return Ok(Strategy::Recompute);
-        }
-        let mut m = MaintainedWindow::new(pre_all.schema.clone(), spec, agg, &out_name);
-        m.apply(&pre_all);
-        // This round's recompute covers everything the fresh sweep has
-        // already closed — mark it drained so the next incremental append
-        // emits only genuinely new closes.
-        let _ = m.drain_new_closed();
-        let MaintainKind::Window { state } = &mut self.kind else {
-            unreachable!();
-        };
-        *state = Some(m);
+    /// Build the sweep state from every accumulated row in one pass and
+    /// read the value off it — the one place sweep state is built, at
+    /// subscribe and after an out-of-order batch. With maintenance off (or
+    /// switched off here, when the rows need the reference window) the
+    /// full plan runs on the engine instead.
+    fn seed(&mut self) -> Result<(), SessionError> {
+        self.sweep = None;
         self.open_prev = Vec::new();
-        Ok(Strategy::Recompute)
-    }
-
-    fn try_incremental_topk(&mut self, batch: &AuRelation) -> Result<Strategy, SessionError> {
-        if self.accum.rows().len() < self.cutoff {
-            if let MaintainKind::TopK { state } = &mut self.kind {
-                *state = None;
+        if self.fallback.is_some() {
+            self.current = result_map(self.over_accum(&self.plan)?);
+            return Ok(());
+        }
+        let pre = self.over_accum(&self.pre)?.normalize();
+        let (sweep, out) = match self.plan.ops().last() {
+            Some(Op::Window {
+                spec,
+                agg,
+                out_name,
+            }) if !backend::Native::window_needs_reference(&pre, spec) => {
+                let mut m = MaintainedWindow::new(pre.schema.clone(), spec.clone(), *agg, out_name);
+                m.apply(&pre);
+                let mut rows = m.drain_new_closed();
+                self.open_prev = m.open_result();
+                rows.extend(self.open_prev.iter().cloned());
+                let out = AuRelation::from_rows(self.plan.schema().clone(), rows);
+                (Sweep::Window(m), out)
             }
-            return Ok(Strategy::Recompute);
-        }
-        let Some(Op::TopK { order, k, pos_name }) = self.plan.ops().last().cloned() else {
-            unreachable!("kind is TopK only for top-k plans");
+            Some(Op::Window { .. }) => {
+                self.fallback = Some(
+                    "accumulated rows need the reference window \
+                     (duplicate multiplicities or uncertain PARTITION BY)"
+                        .to_string(),
+                );
+                return self.seed();
+            }
+            Some(Op::TopK { order, k, pos_name }) => {
+                let mut m = TopKMaintain::new(pre.schema.clone(), order.clone(), *k, pos_name);
+                m.apply(&pre);
+                let out = m.result();
+                (Sweep::TopK(m), out)
+            }
+            _ => unreachable!("every other shape has maintenance off"),
         };
-        let pre_batch = self.engine.execute(&self.pre.with_source(batch.clone())?)?;
-        let MaintainKind::TopK { state } = &mut self.kind else {
-            unreachable!();
-        };
-        if let Some(m) = state {
-            m.apply(&pre_batch);
-            return Ok(Strategy::Incremental);
-        }
-        // First crossing of the cutoff: seed from the accumulated rows.
-        let pre_all = self
-            .engine
-            .execute(&self.pre.with_source(self.accum.clone())?)?;
-        let mut m = TopKMaintain::new(pre_all.schema.clone(), order, k, &pos_name);
-        m.apply(&pre_all);
-        *state = Some(m);
-        Ok(Strategy::Recompute)
-    }
-
-    /// Rebuild the result map via the ground-truth path: the full plan
-    /// over the accumulated relation, normalized.
-    fn recompute_current(&mut self) -> Result<(), SessionError> {
-        let out = self
-            .engine
-            .execute(&self.plan.with_source(self.accum.clone())?)?
-            .normalize();
-        self.current = BTreeMap::new();
-        for row in out.rows() {
-            self.current
-                .insert(SortKey::of_row(&row.tuple), (row.tuple.clone(), row.mult));
-        }
-        // The map no longer tracks which entries came from open windows;
-        // the next incremental append resyncs from the live state.
-        self.open_prev = Vec::new();
-        if let MaintainKind::Window { state: Some(m) } = &self.kind {
-            self.open_prev = m.open_result();
-        }
+        self.current = result_map(out);
+        self.sweep = Some(sweep);
         Ok(())
     }
 
-    /// After an incremental window/top-k apply: retract the previous open
-    /// rows, add the newly closed and currently open rows, and report the
-    /// keys whose normalized entry changed. `O(changed)`, not `O(n)`.
-    fn incremental_delta(&mut self) -> Delta {
-        let (additions, removals) = match &mut self.kind {
-            MaintainKind::Window { state: Some(m) } => {
-                let mut additions = m.drain_new_closed();
-                let open_now = m.open_result();
-                additions.extend(open_now.iter().cloned());
-                let removals = std::mem::replace(&mut self.open_prev, open_now);
-                (additions, removals)
-            }
-            MaintainKind::TopK { state: Some(m) } => {
+    /// Absorb `batch` (already in `accum`) into the live sweep state and
+    /// return the changed rows. `None` when it cannot: the caller then
+    /// re-seeds, which rebuilds the state after a frontier overlap and
+    /// recomputes once maintenance is off.
+    fn try_incremental(&mut self, batch: &AuRelation) -> Result<Option<Delta>, SessionError> {
+        let Some(sweep) = &mut self.sweep else {
+            return Ok(None);
+        };
+        // Row-wise prefix over the batch alone ≡ its contribution to the
+        // prefix over the accumulated relation.
+        let pre_batch = self
+            .engine
+            .execute(&self.pre.with_source(batch.clone())?)?
+            .normalize();
+        let m = match sweep {
+            Sweep::TopK(m) => {
+                m.apply(&pre_batch);
                 // The whole top-k band is the changed region; diff it
                 // against the previous map wholesale (O(k), not O(n)).
-                let out = m.result().normalize();
-                let mut next = BTreeMap::new();
-                for row in out.rows() {
-                    next.insert(SortKey::of_row(&row.tuple), (row.tuple.clone(), row.mult));
-                }
-                let before = std::mem::replace(&mut self.current, next);
-                return diff_maps(&before, &self.current);
+                let before = std::mem::replace(&mut self.current, result_map(m.result()));
+                return Ok(Some(diff_maps(&before, &self.current)));
             }
-            _ => unreachable!("incremental_delta requires live state"),
+            Sweep::Window(m) => m,
         };
+        // The native window's documented fallbacks are sticky: a duplicate
+        // multiplicity or uncertain partition value stays in the data.
+        if pre_batch.rows().iter().any(|r| r.mult.ub > 1) {
+            self.fallback =
+                Some("appended rows carry duplicate multiplicities (k↑ > 1)".to_string());
+            return Ok(None);
+        }
+        if let Err(reason) = m.check_batch(&pre_batch) {
+            // A frontier overlap only needs a rebuild.
+            if reason.contains("PARTITION BY") {
+                self.fallback = Some(reason);
+            }
+            return Ok(None);
+        }
+        m.apply(&pre_batch);
+        // Retract the previous open rows, add the newly closed and
+        // currently open rows, and report the keys whose normalized entry
+        // changed. `O(changed)`, not `O(n)`.
+        let mut additions = m.drain_new_closed();
+        let open_now = m.open_result();
+        additions.extend(open_now.iter().cloned());
+        let removals = std::mem::replace(&mut self.open_prev, open_now);
         let mut touched: BTreeMap<SortKey, Option<(AuTuple, Mult3)>> = BTreeMap::new();
-        let touch = |current: &BTreeMap<SortKey, (AuTuple, Mult3)>,
-                     touched: &mut BTreeMap<SortKey, Option<(AuTuple, Mult3)>>,
-                     key: &SortKey| {
-            if !touched.contains_key(key) {
-                touched.insert(key.clone(), current.get(key).cloned());
-            }
-        };
         for (t, mult) in removals {
             let key = SortKey::of_row(&t);
-            touch(&self.current, &mut touched, &key);
+            touched
+                .entry(key.clone())
+                .or_insert_with(|| self.current.get(&key).cloned());
             sub_entry(&mut self.current, key, &t, mult);
         }
         for (t, mult) in additions {
             let key = SortKey::of_row(&t);
-            touch(&self.current, &mut touched, &key);
+            touched
+                .entry(key.clone())
+                .or_insert_with(|| self.current.get(&key).cloned());
             add_entry(&mut self.current, key, t, mult);
         }
         let mut delta = Delta::default();
         for (key, before) in touched {
             let after = self.current.get(&key);
-            match (before, after) {
-                (Some(b), Some(a)) if &b == a => {}
-                (before, after) => {
-                    if let Some(b) = before {
-                        delta.removed.push(b);
-                    }
-                    if let Some(a) = after {
-                        delta.added.push(a.clone());
-                    }
-                }
+            if before.as_ref() != after {
+                delta.removed.extend(before);
+                delta.added.extend(after.cloned());
             }
         }
-        delta
+        Ok(Some(delta))
     }
 }
 
@@ -508,17 +390,21 @@ impl std::fmt::Debug for MaintainedQuery {
     }
 }
 
-fn add_entry(map: &mut BTreeMap<SortKey, (AuTuple, Mult3)>, key: SortKey, t: AuTuple, mult: Mult3) {
+/// The normalized result map of an operator output.
+fn result_map(out: AuRelation) -> ResultMap {
+    out.normalize()
+        .rows()
+        .iter()
+        .map(|row| (SortKey::of_row(&row.tuple), (row.tuple.clone(), row.mult)))
+        .collect()
+}
+
+fn add_entry(map: &mut ResultMap, key: SortKey, t: AuTuple, mult: Mult3) {
     let e = map.entry(key).or_insert_with(|| (t, Mult3::new(0, 0, 0)));
     e.1 = Mult3::new(e.1.lb + mult.lb, e.1.sg + mult.sg, e.1.ub + mult.ub);
 }
 
-fn sub_entry(
-    map: &mut BTreeMap<SortKey, (AuTuple, Mult3)>,
-    key: SortKey,
-    t: &AuTuple,
-    mult: Mult3,
-) {
+fn sub_entry(map: &mut ResultMap, key: SortKey, t: &AuTuple, mult: Mult3) {
     let e = map
         .get_mut(&key)
         .unwrap_or_else(|| panic!("retracting a row that is not in the maintained result: {t:?}"));
@@ -530,10 +416,7 @@ fn sub_entry(
 
 /// Full map diff (the recompute path's delta): every key present in either
 /// map whose entry changed.
-fn diff_maps(
-    before: &BTreeMap<SortKey, (AuTuple, Mult3)>,
-    after: &BTreeMap<SortKey, (AuTuple, Mult3)>,
-) -> Delta {
+fn diff_maps(before: &ResultMap, after: &ResultMap) -> Delta {
     let mut delta = Delta::default();
     for (key, b) in before {
         match after.get(key) {
@@ -595,19 +478,19 @@ mod tests {
     const ROLLING_SQL: &str = "SELECT *, SUM(v) OVER (ORDER BY o \
          ROWS BETWEEN 2 PRECEDING AND CURRENT ROW) AS roll FROM s";
 
-    fn subscribe(rows: &[(AuTuple, Mult3)], cutoff: usize) -> MaintainedQuery {
+    fn subscribe(rows: &[(AuTuple, Mult3)]) -> MaintainedQuery {
         let session = Session::new(Engine::native());
         session.register("s", rel_of(rows));
-        session.subscribe(ROLLING_SQL).unwrap().with_cutoff(cutoff)
+        session.subscribe(ROLLING_SQL).unwrap()
     }
 
     #[test]
     fn value_tracks_recompute_and_deltas_replay() {
         let rows = stream_rows(60, 5);
-        let mut q = subscribe(&rows[..20], 16);
+        let mut q = subscribe(&rows[..20]);
         let session = Session::new(Engine::native());
         // Replay target: apply every delta to the initial value's map.
-        let mut replay: BTreeMap<SortKey, (AuTuple, Mult3)> = q.current.clone();
+        let mut replay: ResultMap = q.current.clone();
         for chunk in rows[20..].chunks(7) {
             let delta = q.append(&rel_of(chunk)).unwrap();
             for (t, m) in &delta.removed {
@@ -623,44 +506,21 @@ mod tests {
             assert!(value.bag_eq(&truth), "value:\n{value}\ntruth:\n{truth}");
             assert_eq!(replay, q.current, "deltas must replay to the value");
         }
-        let (inc, rec) = q.strategy_counts();
-        assert!(inc >= 4, "expected mostly incremental appends, got {inc}");
-        assert!(rec >= 1, "cutoff crossing recomputes once, got {rec}");
-    }
-
-    #[test]
-    fn cutoff_governs_strategy_and_explain_reports_it() {
-        let rows = stream_rows(40, 11);
-        let mut q = subscribe(&rows[..4], 12);
-        // Below the cutoff: recompute.
-        let d = q.append(&rel_of(&rows[4..8])).unwrap();
-        assert_eq!(d.strategy, Strategy::Recompute);
-        // Crossing the cutoff: one recompute that seeds the state...
-        let d = q.append(&rel_of(&rows[8..16])).unwrap();
-        assert_eq!(d.strategy, Strategy::Recompute);
-        // ...then in-order appends go incremental.
-        let d = q.append(&rel_of(&rows[16..24])).unwrap();
-        assert_eq!(d.strategy, Strategy::Incremental);
-        let text = q.explain();
-        assert!(
-            text.contains("maintain: window incremental (cutoff 12)"),
-            "{text}"
+        assert_eq!(
+            q.strategy_counts(),
+            (6, 0),
+            "in-order appends are incremental from the first one"
         );
-        assert!(
-            text.contains("appends: 1 incremental, 2 recompute"),
-            "{text}"
-        );
-        assert!(text.contains("last append: incremental (8 rows)"), "{text}");
     }
 
     #[test]
     fn out_of_order_appends_recompute_then_resume_incremental() {
         let rows = stream_rows(40, 3);
-        let mut q = subscribe(&rows[..24], 8);
+        let mut q = subscribe(&rows[..24]);
         assert_eq!(
             q.append(&rel_of(&rows[24..30])).unwrap().strategy,
-            Strategy::Recompute,
-            "first append seeds the state"
+            Strategy::Incremental,
+            "subscribe seeds the state"
         );
         assert_eq!(
             q.append(&rel_of(&rows[30..34])).unwrap().strategy,
@@ -677,6 +537,13 @@ mod tests {
             q.append(&rel_of(&rows[34..38])).unwrap().strategy,
             Strategy::Incremental
         );
+        let text = q.explain();
+        assert!(text.contains("maintain: window incremental\n"), "{text}");
+        assert!(
+            text.contains("appends: 3 incremental, 1 recompute"),
+            "{text}"
+        );
+        assert!(text.contains("last append: incremental (4 rows)"), "{text}");
         let session = Session::new(Engine::native());
         session.register("s", q.accumulated().clone());
         let truth = session.sql(ROLLING_SQL).unwrap();
@@ -686,7 +553,7 @@ mod tests {
     #[test]
     fn duplicate_multiplicities_disable_maintenance_permanently() {
         let rows = stream_rows(30, 17);
-        let mut q = subscribe(&rows[..20], 8);
+        let mut q = subscribe(&rows[..20]);
         q.append(&rel_of(&rows[20..24])).unwrap();
         assert_eq!(
             q.append(&rel_of(&rows[24..26])).unwrap().strategy,
@@ -718,7 +585,7 @@ mod tests {
         let session = Session::new(Engine::native());
         session.register("s", rel_of(&rows[..20]));
         let sql = "SELECT * FROM s ORDER BY v AS rank LIMIT 5";
-        let mut q = session.subscribe(sql).unwrap().with_cutoff(8);
+        let mut q = session.subscribe(sql).unwrap();
         // Appends in reverse order: top-k maintenance has no frontier.
         let mut chunks: Vec<&[(AuTuple, Mult3)]> = rows[20..].chunks(6).collect();
         chunks.reverse();
@@ -742,8 +609,7 @@ mod tests {
         // Final op is a plain sort — not maintainable.
         let mut q = session
             .subscribe("SELECT * FROM s ORDER BY o AS p")
-            .unwrap()
-            .with_cutoff(1);
+            .unwrap();
         let d = q.append(&rel_of(&rows[10..15])).unwrap();
         assert_eq!(d.strategy, Strategy::Recompute);
         assert!(
@@ -755,7 +621,7 @@ mod tests {
         // Reference engine: window maintenance requires the native backend.
         let ref_session = Session::new(Engine::reference());
         ref_session.register("s", rel_of(&rows[..10]));
-        let mut q = ref_session.subscribe(ROLLING_SQL).unwrap().with_cutoff(1);
+        let mut q = ref_session.subscribe(ROLLING_SQL).unwrap();
         assert_eq!(
             q.append(&rel_of(&rows[10..15])).unwrap().strategy,
             Strategy::Recompute
@@ -769,7 +635,7 @@ mod tests {
     #[test]
     fn append_rejects_mismatched_schemas() {
         let rows = stream_rows(10, 31);
-        let mut q = subscribe(&rows, 8);
+        let mut q = subscribe(&rows);
         let bad = AuRelation::empty(Schema::new(["o", "v", "extra"]));
         let e = q.append(&bad).unwrap_err();
         assert_eq!(e.kind(), "schema_mismatch");

@@ -16,7 +16,7 @@
 //!      that column is fully certain (per stats) and the literal is
 //!      certain: every dropped row then sorts strictly after every kept
 //!      row in every possible world, so kept position bounds (and the
-//!      top-k cutoff) are unchanged.
+//!      top-k boundary at rank k) are unchanged.
 //!    * below **window** — either the frame is exactly `[0, 0]` (each
 //!      row's aggregate depends only on itself), or the predicate
 //!      touches only fully-certain `PARTITION BY` columns with certain

@@ -75,13 +75,23 @@ fn recompute_on(q: &audb_engine::MaintainedQuery, choice: BackendChoice) -> AuRe
     Engine::new(choice).execute(&plan).unwrap().normalize()
 }
 
+const ALL_BACKENDS: [BackendChoice; 3] = [
+    BackendChoice::Reference,
+    BackendChoice::Native,
+    BackendChoice::Rewrite,
+];
+
 fn assert_matches_all_backends(q: &audb_engine::MaintainedQuery, ctx: &str) {
+    assert_matches_backends(q, ctx, &ALL_BACKENDS);
+}
+
+fn assert_matches_backends(
+    q: &audb_engine::MaintainedQuery,
+    ctx: &str,
+    backends: &[BackendChoice],
+) {
     let value = q.value().normalize();
-    for choice in [
-        BackendChoice::Reference,
-        BackendChoice::Native,
-        BackendChoice::Rewrite,
-    ] {
+    for &choice in backends {
         let truth = recompute_on(q, choice);
         assert!(
             value.clone().bag_eq(&truth),
@@ -139,7 +149,7 @@ const TOPK: &str = "SELECT g, v FROM s ORDER BY v AS pos LIMIT 4";
 fn in_order_stream_stays_incremental_and_exact() {
     let mut rng = Rng::new(0xA11CE);
     let session = session_with(&AuRelation::empty(sensor_schema()));
-    let mut q = session.subscribe(ROLLING).unwrap().with_cutoff(8);
+    let mut q = session.subscribe(ROLLING).unwrap();
     let mut replay = Replay::from_value(&q.value());
 
     let mut t = 0i64;
@@ -165,10 +175,10 @@ fn in_order_stream_stays_incremental_and_exact() {
             );
         }
     }
-    let (incr, rec) = q.strategy_counts();
-    assert!(
-        incr > rec,
-        "an in-order stream over the cutoff should mostly maintain ({incr} incremental, {rec} recompute)"
+    assert_eq!(
+        q.strategy_counts(),
+        (40, 0),
+        "an in-order stream is maintained from its first append"
     );
     assert!(
         q.explain().contains("window incremental"),
@@ -181,7 +191,7 @@ fn in_order_stream_stays_incremental_and_exact() {
 fn out_of_order_and_in_order_interleave_exactly() {
     let mut rng = Rng::new(0xB0B);
     let session = session_with(&AuRelation::empty(sensor_schema()));
-    let mut q = session.subscribe(ROLLING).unwrap().with_cutoff(4);
+    let mut q = session.subscribe(ROLLING).unwrap();
     let mut replay = Replay::from_value(&q.value());
 
     let mut t = 0i64;
@@ -226,7 +236,7 @@ fn out_of_order_and_in_order_interleave_exactly() {
 fn partition_churn_stays_exact() {
     let mut rng = Rng::new(0x5EED);
     let session = session_with(&AuRelation::empty(sensor_schema()));
-    let mut q = session.subscribe(PARTITIONED).unwrap().with_cutoff(6);
+    let mut q = session.subscribe(PARTITIONED).unwrap();
     let mut replay = Replay::from_value(&q.value());
 
     let mut t = 0i64;
@@ -265,7 +275,7 @@ fn partition_churn_stays_exact() {
 fn duplicate_multiplicities_fall_back_for_good() {
     let mut rng = Rng::new(0xD0D0);
     let session = session_with(&AuRelation::empty(sensor_schema()));
-    let mut q = session.subscribe(ROLLING).unwrap().with_cutoff(4);
+    let mut q = session.subscribe(ROLLING).unwrap();
     let mut replay = Replay::from_value(&q.value());
 
     let mut t = 0i64;
@@ -306,7 +316,7 @@ fn duplicate_multiplicities_fall_back_for_good() {
 fn topk_subscription_is_exact_in_any_order() {
     let mut rng = Rng::new(0x70CC);
     let session = session_with(&AuRelation::empty(sensor_schema()));
-    let mut q = session.subscribe(TOPK).unwrap().with_cutoff(6);
+    let mut q = session.subscribe(TOPK).unwrap();
     let mut replay = Replay::from_value(&q.value());
 
     for step in 0..30 {
@@ -332,10 +342,10 @@ fn topk_subscription_is_exact_in_any_order() {
             );
         }
     }
-    let (incr, _) = q.strategy_counts();
-    assert!(
-        incr > 0,
-        "top-k over the cutoff should maintain incrementally"
+    assert_eq!(
+        q.strategy_counts(),
+        (30, 0),
+        "top-k maintenance absorbs every arrival order"
     );
 }
 
@@ -345,7 +355,7 @@ fn maintained_value_matches_a_fresh_subscription_midstream() {
     // by a subscription that lived through every append.
     let mut rng = Rng::new(0xCAFE);
     let session = session_with(&AuRelation::empty(sensor_schema()));
-    let mut live = session.subscribe(ROLLING).unwrap().with_cutoff(4);
+    let mut live = session.subscribe(ROLLING).unwrap();
 
     let mut t = 0i64;
     let mut all: Vec<(AuTuple, Mult3)> = Vec::new();
@@ -367,4 +377,77 @@ fn maintained_value_matches_a_fresh_subscription_midstream() {
         live.value().normalize().bag_eq(&fresh.value().normalize()),
         "live subscription diverged from a fresh one over the same rows"
     );
+}
+
+/// `n` in-order readings over partitions `0..3`, with order keys `4..=4n`.
+fn in_order_table(rng: &mut Rng, n: usize) -> AuRelation {
+    let rows: Vec<_> = (1..=n as i64)
+        .map(|i| {
+            let g = rng.below(3) as i64;
+            reading(rng, g, 4 * i, true)
+        })
+        .collect();
+    AuRelation::from_rows(sensor_schema(), rows)
+}
+
+#[test]
+fn subscriptions_are_incremental_from_the_first_append() {
+    let mut rng = Rng::new(0xF1257);
+    for initial in [0usize, 1000] {
+        let table = in_order_table(&mut rng, initial);
+        for sql in [ROLLING, PARTITIONED, TOPK] {
+            let session = session_with(&table);
+            let mut q = session.subscribe(sql).unwrap();
+            let mut t = 4 * initial as i64;
+            for step in 0..4 {
+                let rows: Vec<_> = (0..3)
+                    .map(|_| {
+                        t += 4;
+                        let g = rng.below(3) as i64;
+                        reading(&mut rng, g, t, true)
+                    })
+                    .collect();
+                let delta = q
+                    .append(&AuRelation::from_rows(sensor_schema(), rows))
+                    .unwrap();
+                assert_eq!(
+                    delta.strategy,
+                    Strategy::Incremental,
+                    "{sql} over {initial} rows, append {step}"
+                );
+                // The reference window under PARTITION BY is Θ(n³): minutes
+                // per recompute over 1000 rows in a debug build.
+                let backends = if initial > 0 && sql == PARTITIONED {
+                    &ALL_BACKENDS[1..]
+                } else {
+                    &ALL_BACKENDS[..]
+                };
+                let ctx = format!("{sql} over {initial} rows, append {step}");
+                assert_matches_backends(&q, &ctx, backends);
+            }
+            assert_eq!(q.strategy_counts(), (4, 0), "{sql} over {initial} rows");
+        }
+    }
+}
+
+#[test]
+fn duplicate_multiplicities_at_subscribe_fall_back_for_good() {
+    let mut rng = Rng::new(0xD0B1E);
+    let mut table = in_order_table(&mut rng, 12);
+    let (tuple, _) = reading(&mut rng, 0, 100, true);
+    table.push(tuple, Mult3::new(1, 1, 2));
+    let session = session_with(&table);
+    let mut q = session.subscribe(ROLLING).unwrap();
+    assert!(
+        q.explain().contains("maintain: always recompute"),
+        "{}",
+        q.explain()
+    );
+    assert_matches_all_backends(&q, "k↑ = 2 at subscribe");
+    let (tuple, mult) = reading(&mut rng, 0, 104, true);
+    let delta = q
+        .append(&AuRelation::from_rows(sensor_schema(), [(tuple, mult)]))
+        .unwrap();
+    assert_eq!(delta.strategy, Strategy::Recompute);
+    assert_matches_all_backends(&q, "k↑ = 2 at subscribe, after an append");
 }

@@ -557,7 +557,9 @@ impl WindowMaintain {
 
     /// Run the deterministic window operator over the tail, yielding
     /// `(item id, value)` in tail order (the tail is kept globally sorted,
-    /// so slice order equals global order).
+    /// so slice order equals global order). The operator returns its rows
+    /// normalized, i.e. sorted on the whole tuple rather than the window
+    /// order, so values are matched back to the tail by provenance id.
     fn eval_sg_tail(&self) -> Vec<(usize, Value)> {
         if self.sg_tail.is_empty() {
             return Vec::new();
@@ -582,11 +584,20 @@ impl WindowMaintain {
         let dout = window_rows(&det, &dspec, dagg, "__x");
         let id_col = 3 * self.schema.arity();
         let xcol = dout.schema.arity() - 1;
-        dout.rows
+        let id_of = |t: &Tuple| t.get(id_col).as_i64().expect("provenance id") as usize;
+        let mut by_id: HashMap<usize, Value> = dout
+            .rows
             .iter()
-            .map(|r| {
-                let id = r.tuple.get(id_col).as_i64().expect("provenance id") as usize;
-                (id, r.tuple.get(xcol).clone())
+            .map(|r| (id_of(&r.tuple), r.tuple.get(xcol).clone()))
+            .collect();
+        self.sg_tail
+            .iter()
+            .map(|t| {
+                let id = id_of(t);
+                (
+                    id,
+                    by_id.remove(&id).expect("one output row per tail entry"),
+                )
             })
             .collect()
     }
@@ -1009,22 +1020,43 @@ mod tests {
         }
     }
 
+    /// Also with the ORDER BY column second: the selected-guess tail is
+    /// evaluated by a deterministic window whose output comes back sorted
+    /// on the whole tuple, which then differs from the window order.
     #[test]
     fn per_append_results_match_full_recompute() {
         let rows = stream_rows(40, 13);
-        let spec = AuWindowSpec::rows(vec![0], -2, 0);
-        let mut m = WindowMaintain::new(Schema::new(["o", "v"]), spec.clone(), WinAgg::Sum(1), "x");
-        let mut acc: Vec<(AuTuple, Mult3)> = Vec::new();
-        for chunk in rows.chunks(3) {
-            m.apply(&rel_of(chunk));
-            acc.extend(chunk.iter().cloned());
-            let inc = m.result().normalize();
-            let full = window_native(&rel_of(&acc), &spec, WinAgg::Sum(1), "x");
-            assert!(
-                inc.bag_eq(&full),
-                "after {} rows\nincremental:\n{inc}\nfull:\n{full}",
-                acc.len()
-            );
+        let swapped = |rows: &[(AuTuple, Mult3)]| {
+            AuRelation::from_rows(
+                Schema::new(["v", "o"]),
+                rows.iter()
+                    .map(|(t, m)| (AuTuple::new([t.get(1).clone(), t.get(0).clone()]), *m)),
+            )
+        };
+        for (o, upper) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+            let layout = |rows: &[(AuTuple, Mult3)]| {
+                if o == 0 {
+                    rel_of(rows)
+                } else {
+                    swapped(rows)
+                }
+            };
+            let spec = AuWindowSpec::rows(vec![o], -2, upper);
+            let agg = WinAgg::Sum(1 - o);
+            let mut m = WindowMaintain::new(layout(&[]).schema, spec.clone(), agg, "x");
+            let mut acc: Vec<(AuTuple, Mult3)> = Vec::new();
+            for chunk in rows.chunks(3) {
+                m.apply(&layout(chunk));
+                acc.extend(chunk.iter().cloned());
+                let inc = m.result().normalize();
+                let full = window_native(&layout(&acc), &spec, agg, "x");
+                assert!(
+                    inc.bag_eq(&full),
+                    "order column {o}, upper {upper}, after {} rows\n\
+                     incremental:\n{inc}\nfull:\n{full}",
+                    acc.len()
+                );
+            }
         }
     }
 
