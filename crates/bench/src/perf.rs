@@ -8,14 +8,10 @@
 //! (`--sizes` overrides), and writes them as JSON so the perf trajectory is
 //! tracked in-repo from PR to PR.
 //!
-//! Since the physical-pipeline refactor every AU cell is measured under
-//! **both** execution modes — `"exec": "pipeline"` (the production
-//! batch-streaming executor with fused select/project stages) and
-//! `"exec": "materialized"` (the operator-at-a-time loop) — so the
-//! artifact shows what pipelining buys per plan shape. `det` cells carry
-//! `"exec": "materialized"` (the deterministic engine has no pipeline
-//! path). `--threads N` pins `AUDB_THREADS` for reproducible parallelism
-//! and is recorded in the artifact.
+//! Every AU cell runs through the engine's one executor (batch-streaming
+//! pipelines with fused select/project stages). `--threads N` pins
+//! `AUDB_THREADS` for reproducible parallelism and is recorded in the
+//! artifact.
 //!
 //! Schema v3 (the columnar-storage PR) adds two columns per run:
 //! `rows_per_sec` (input rows over median wall time) and `bytes_per_row`
@@ -34,6 +30,10 @@
 //! typed lanes against the same columns demoted to generic, as
 //! rows-per-second pairs. CI asserts typed ≤ columnar ≤ row on
 //! `sort_sel` and typed ≥ generic within each sweep.
+//!
+//! Schema v8 drops the per-run `"exec"` key: the operator-at-a-time
+//! executor it distinguished is gone, so v7's `"exec": "materialized"`
+//! cells have no successor.
 //!
 //! Schema v6 (the incremental-maintenance PR) adds a `"streaming"`
 //! section: per size, an in-order sensor stream is pushed through a
@@ -57,7 +57,7 @@
 //! acceptance gate of the optimization PR.
 
 use audb_core::{AuRelation, AuTuple, Mult3, PhysType, RangeExpr, RangeValue, WinAgg};
-use audb_engine::{Engine, ExecMode, Plan, Query, Session, SharedCatalog};
+use audb_engine::{Engine, Plan, Query, Session, SharedCatalog};
 use audb_rel::Schema;
 use audb_workloads::runner::{sort_plan, window_plan};
 use audb_workloads::synthetic::{gen_sort_table, gen_window_table, SyntheticConfig};
@@ -128,8 +128,6 @@ pub struct Measurement {
     pub op: &'static str,
     /// `det` / `imp` / `rewr`.
     pub method: &'static str,
-    /// `pipeline` or `materialized` — the execution mode of the cell.
-    pub exec: &'static str,
     /// Input rows.
     pub n: usize,
     /// Median milliseconds per run.
@@ -186,14 +184,7 @@ fn time_median(mut f: impl FnMut(), budget_runs: usize) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// The two AU engine execution arms every (op, method) pair is measured
-/// under.
-const EXECS: [(&str, ExecMode); 2] = [
-    ("pipeline", ExecMode::Pipelined),
-    ("materialized", ExecMode::Materialized),
-];
-
-/// Measure one plan on one backend under both execution modes.
+/// Measure one plan on one engine backend.
 fn au_cells(
     out: &mut Vec<Measurement>,
     op: &'static str,
@@ -203,38 +194,19 @@ fn au_cells(
     plan: &Plan,
     runs: usize,
 ) {
-    let fp = footprint(plan.source());
-    for (exec, mode) in EXECS {
-        let engine = engine.with_exec_mode(mode);
-        let ms = time_median(
-            || {
-                std::hint::black_box(engine.execute(plan).expect("bench plan executes"));
-            },
-            runs,
-        );
-        out.push(Measurement {
-            op,
-            method,
-            exec,
-            n,
-            ms,
-            ops_per_sec: 1e3 / ms,
-            rows_per_sec: n as f64 * 1e3 / ms,
-            bytes_per_row_row: fp.row,
-            bytes_per_row_columnar: fp.columnar,
-            bytes_per_row_typed: fp.typed,
-            phys: fp.phys.clone(),
-        });
-    }
+    let run = || {
+        std::hint::black_box(engine.execute(plan).expect("bench plan executes"));
+    };
+    push_cell(out, op, method, n, plan.source(), run, runs);
 }
 
-/// Measure one deterministic-engine cell (always materialized — the
-/// deterministic engine has no pipeline path). The storage-footprint
-/// columns still describe the op's **AU** input table, so every row of one
-/// (op, n) group reports the same footprint pair.
-fn det_cell(
+/// Time `f` and record the cell. The storage-footprint columns describe
+/// the op's **AU** input table, so every row of one (op, n) group reports
+/// the same footprint.
+fn push_cell(
     out: &mut Vec<Measurement>,
     op: &'static str,
+    method: &'static str,
     n: usize,
     au_input: &audb_core::AuRelation,
     f: impl FnMut(),
@@ -244,8 +216,7 @@ fn det_cell(
     let ms = time_median(f, runs);
     out.push(Measurement {
         op,
-        method: "det",
-        exec: "materialized",
+        method,
         n,
         ms,
         ops_per_sec: 1e3 / ms,
@@ -281,7 +252,7 @@ impl Drop for ThreadPin {
     }
 }
 
-/// Measure every (op, method, exec, n) cell.
+/// Measure every (op, method, n) cell.
 pub fn measure(cfg: &BenchConfig) -> Vec<Measurement> {
     let _pin = ThreadPin::set(cfg.threads);
     let runs = if cfg.quick { 3 } else { 7 };
@@ -290,12 +261,13 @@ pub fn measure(cfg: &BenchConfig) -> Vec<Measurement> {
         let table = gen_sort_table(&SyntheticConfig::default().rows(n).seed(3));
         let world = table.most_likely_world();
         let order = [0usize, 1];
-        // One logical plan, two engine backends × two execution modes:
-        // only the physical path differs between the timed AU cells.
+        // One logical plan, two engine backends: only the breaker
+        // implementations differ between the timed AU cells.
         let plan = sort_plan(&table, &order, None);
-        det_cell(
+        push_cell(
             &mut out,
             "sort",
+            "det",
             n,
             plan.source(),
             || {
@@ -308,8 +280,7 @@ pub fn measure(cfg: &BenchConfig) -> Vec<Measurement> {
 
         // The pipelining showcase: streamable stages ahead of the breaker
         // (≈50% selectivity on the certain `b` attribute, then a computed
-        // projection) — materialized execution pays two intermediate
-        // relation builds here, the pipeline executor one fused sweep.
+        // projection) — the executor runs both in one fused sweep.
         let au = table.to_au_relation();
         let mid = (n as i64 * 20) / 2;
         let sel_plan = Query::scan(au)
@@ -346,9 +317,10 @@ pub fn measure(cfg: &BenchConfig) -> Vec<Measurement> {
         let wtable = gen_window_table(&SyntheticConfig::default().rows(n).seed(4));
         let wworld = wtable.most_likely_world();
         let wplan = window_plan(&wtable, &[0], WinAgg::Sum(2), -2, 0);
-        det_cell(
+        push_cell(
             &mut out,
             "window",
+            "det",
             n,
             wplan.source(),
             || {
@@ -714,7 +686,8 @@ pub fn render_json(
     // pruning-disabled within one run at each selectivity, with batches
     // skipped/scanned counters — plus the `pruning_16k_speedup_at_1pct`
     // headline CI gates at ≥ 2×.
-    s.push_str("  \"schema_version\": 7,\n");
+    // v8: runs drop the `exec` key (one executor).
+    s.push_str("  \"schema_version\": 8,\n");
     let sizes = cfg
         .sizes
         .iter()
@@ -749,8 +722,8 @@ pub fn render_json(
     for (i, m) in measurements.iter().enumerate() {
         let _ = write!(
             s,
-            "    {{\"op\": \"{}\", \"method\": \"{}\", \"exec\": \"{}\", \"n\": {}, \"ms\": {:.3}, \"ops_per_sec\": {:.3}, \"rows_per_sec\": {:.0}, \"bytes_per_row\": {{\"row\": {:.1}, \"columnar\": {:.1}, \"typed\": {:.1}}}, \"phys\": {}}}",
-            m.op, m.method, m.exec, m.n, m.ms, m.ops_per_sec, m.rows_per_sec, m.bytes_per_row_row, m.bytes_per_row_columnar, m.bytes_per_row_typed, phys_counts(&m.phys)
+            "    {{\"op\": \"{}\", \"method\": \"{}\", \"n\": {}, \"ms\": {:.3}, \"ops_per_sec\": {:.3}, \"rows_per_sec\": {:.0}, \"bytes_per_row\": {{\"row\": {:.1}, \"columnar\": {:.1}, \"typed\": {:.1}}}, \"phys\": {}}}",
+            m.op, m.method, m.n, m.ms, m.ops_per_sec, m.rows_per_sec, m.bytes_per_row_row, m.bytes_per_row_columnar, m.bytes_per_row_typed, phys_counts(&m.phys)
         );
         s.push_str(if i + 1 < measurements.len() {
             ",\n"
@@ -790,11 +763,11 @@ pub fn render_json(
     }
     s.push_str("  ],\n");
     // Headline ratio the acceptance gate reads: naive / current for
-    // sort/imp (pipeline arm) at 16k rows; null when 16k was not measured
+    // sort/imp at 16k rows; null when 16k was not measured
     // (e.g. the CI `--sizes 1000` smoke run).
     let head = measurements
         .iter()
-        .find(|m| m.op == "sort" && m.method == "imp" && m.exec == "pipeline" && m.n == 16_000);
+        .find(|m| m.op == "sort" && m.method == "imp" && m.n == 16_000);
     match head {
         Some(m) => {
             let _ = writeln!(
@@ -829,8 +802,8 @@ pub fn run_json(path: &str, cfg: &BenchConfig) {
     let measurements = measure(cfg);
     for m in &measurements {
         println!(
-            "{:>6} rows  {:<8} {:<5} {:<12} {:>10.3} ms  {:>10.2} ops/s",
-            m.n, m.op, m.method, m.exec, m.ms, m.ops_per_sec
+            "{:>6} rows  {:<8} {:<5} {:>10.3} ms  {:>10.2} ops/s",
+            m.n, m.op, m.method, m.ms, m.ops_per_sec
         );
     }
     let kernels = measure_kernels(cfg);
@@ -892,17 +865,10 @@ mod tests {
     /// pinned count) must hold this.
     static ENV_LOCK: Mutex<()> = Mutex::new(());
 
-    fn cell(
-        op: &'static str,
-        method: &'static str,
-        exec: &'static str,
-        n: usize,
-        ms: f64,
-    ) -> Measurement {
+    fn cell(op: &'static str, method: &'static str, n: usize, ms: f64) -> Measurement {
         Measurement {
             op,
             method,
-            exec,
             n,
             ms,
             ops_per_sec: 1e3 / ms,
@@ -929,9 +895,9 @@ mod tests {
         // effective_threads — serialize against the env-mutating test.
         let _guard = ENV_LOCK.lock().unwrap();
         let ms = vec![
-            cell("sort", "imp", "pipeline", 16_000, 20.0),
-            cell("sort", "imp", "materialized", 16_000, 21.0),
-            cell("window", "det", "materialized", 1_000, 1.0),
+            cell("sort", "imp", 16_000, 20.0),
+            cell("sort", "rewr", 16_000, 21.0),
+            cell("window", "det", 1_000, 1.0),
         ];
         let sweeps = vec![sweep("truth_batch"), sweep("eval_batch")];
         let streaming = vec![StreamingRun {
@@ -956,7 +922,7 @@ mod tests {
         }];
         let json = render_json(&ms, &sweeps, &streaming, &pruning, &BenchConfig::default());
         assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-        assert!(json.contains("\"schema_version\": 7"));
+        assert!(json.contains("\"schema_version\": 8"));
         // The v7 pruning section and its within-run headline.
         assert!(json.contains(
             "{\"n\": 16000, \"sel_pct\": 1, \"pruned_ms\": 0.500, \"unpruned_ms\": 2.000, \
@@ -996,11 +962,11 @@ mod tests {
         // env-sensitive assertions live in thread_pin_scopes_and_records,
         // which owns the variable.)
         assert!(json.contains("\"threads\": "));
-        // Headline reads the pipeline arm (20ms), not the materialized one.
+        // Headline reads the sort/imp cell (20ms), not the rewrite one.
         assert!(json.contains("\"sort_imp_16k_speedup_vs_naive\": 2.32"));
         assert!(json.contains("\"naive_baseline_ms\""));
         assert_eq!(json.matches("\"op\"").count(), 3);
-        assert_eq!(json.matches("\"exec\"").count(), 3);
+        assert_eq!(json.matches("\"exec\"").count(), 0);
         // Balanced braces/brackets (cheap well-formedness check).
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
@@ -1091,7 +1057,7 @@ mod tests {
 
     #[test]
     fn headline_is_null_without_a_16k_cell() {
-        let ms = vec![cell("sort", "imp", "pipeline", 1_000, 1.0)];
+        let ms = vec![cell("sort", "imp", 1_000, 1.0)];
         let cfg = BenchConfig {
             quick: true,
             sizes: vec![1_000],
@@ -1194,13 +1160,7 @@ mod tests {
             threads: Some(2),
             sel: None,
         };
-        let fresh = render_json(
-            &[cell("sort", "imp", "pipeline", 1_000, 1.0)],
-            &[],
-            &[],
-            &[],
-            &cfg,
-        );
+        let fresh = render_json(&[cell("sort", "imp", 1_000, 1.0)], &[], &[], &[], &cfg);
         let merged = preserve_server_section(path, fresh.clone());
         let doc = audb_server::Json::parse(&merged).unwrap();
         assert_eq!(
@@ -1209,7 +1169,7 @@ mod tests {
             "server section changed across the re-render"
         );
         // Everything else is the fresh render's content.
-        assert_eq!(doc.get("schema_version"), Some(&audb_server::Json::Int(7)));
+        assert_eq!(doc.get("schema_version"), Some(&audb_server::Json::Int(8)));
         assert!(doc.get("runs").is_some() && doc.get("streaming").is_some());
 
         // No existing artifact (or one without a server section): the

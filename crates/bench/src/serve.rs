@@ -20,7 +20,7 @@
 //! `POST /query` on a persistent keep-alive connection (reconnecting
 //! transparently when the server rotates it out), and reports QPS and
 //! p50/p99 latency. `--json` merges a `server` section into the
-//! schema-v5 bench artifact, preserving whatever `repro bench` wrote.
+//! bench artifact, preserving whatever `repro bench` wrote.
 //!
 //! Each client pauses `--think` milliseconds (default 1 ms) between
 //! requests — the interactive-user model the paper targets. With think
@@ -480,10 +480,10 @@ fn merge_server_section(
         .unwrap_or_else(|| {
             Json::obj([
                 ("artifact", Json::str("BENCH_sort_window")),
-                ("schema_version", Json::Int(7)),
+                ("schema_version", Json::Int(8)),
             ])
         });
-    doc.set("schema_version", Json::Int(7));
+    doc.set("schema_version", Json::Int(8));
     doc.set("server", section);
     let mut out = doc.pretty();
     out.push('\n');

@@ -23,7 +23,6 @@
 //! between methods, so those are the trait's required methods.
 
 use crate::error::EngineError;
-use crate::exec::ExecMode;
 use crate::plan::Op;
 use audb_core::encode::{decode, encode};
 use audb_core::{
@@ -80,15 +79,6 @@ pub trait Backend {
     /// One-line note describing what `scan` does in this backend.
     fn scan_note(&self) -> String {
         "borrow the AU-relation in place".to_string()
-    }
-
-    /// How this backend runs plans: the batch-streaming pipeline executor
-    /// for the production backends, materialized operator-at-a-time for
-    /// the semantic oracle. Both modes are bag-equal on every plan
-    /// (property-tested); they differ only in intermediate materialization
-    /// and parallelism.
-    fn preferred_mode(&self) -> ExecMode {
-        ExecMode::Materialized
     }
 }
 
@@ -211,12 +201,6 @@ impl Backend for Native {
         "native"
     }
 
-    /// Production backend: batch-streaming pipelines with fused
-    /// select/project chains.
-    fn preferred_mode(&self) -> ExecMode {
-        ExecMode::Pipelined
-    }
-
     fn sort(
         &self,
         rel: &AuRelation,
@@ -285,13 +269,6 @@ pub struct Rewrite {
 impl Backend for Rewrite {
     fn name(&self) -> &'static str {
         "rewrite"
-    }
-
-    /// The rewrites execute over materialized encodings per breaker, but
-    /// the streamable stages between them pipeline like the native
-    /// backend's.
-    fn preferred_mode(&self) -> ExecMode {
-        ExecMode::Pipelined
     }
 
     /// Round-trip the source through the flat relational encoding (three

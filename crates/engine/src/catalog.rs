@@ -9,7 +9,7 @@
 use crate::plan::Table;
 use audb_core::{AuRelation, TableStats};
 use std::collections::BTreeMap;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// Named AU-relations, shared cheaply behind [`Arc`]s. Names are
 /// case-sensitive (quote mixed-case names in SQL as `"MyTable"`); lookups
@@ -107,7 +107,10 @@ impl Catalog {
 #[derive(Clone, Debug, Default)]
 pub struct SharedCatalog {
     // (version, snapshot) swap together so a cache keyed on the version
-    // can never observe a torn pair.
+    // can never observe a torn pair. Writers build the next pair on a
+    // clone and assign it as their last step, so a writer that panics
+    // leaves the previous pair intact: a poisoned lock is recovered, not
+    // propagated.
     current: Arc<RwLock<(u64, Arc<Catalog>)>>,
 }
 
@@ -127,13 +130,13 @@ impl SharedCatalog {
     /// The current snapshot. Callers hold it as long as they like; it
     /// never changes under them.
     pub fn snapshot(&self) -> Arc<Catalog> {
-        Arc::clone(&self.current.read().expect("catalog lock poisoned").1)
+        self.snapshot_versioned().1
     }
 
     /// The current snapshot together with its version (the pair is
     /// coherent — the plan cache keys on the version).
     pub fn snapshot_versioned(&self) -> (u64, Arc<Catalog>) {
-        let guard = self.current.read().expect("catalog lock poisoned");
+        let guard = self.current.read().unwrap_or_else(PoisonError::into_inner);
         (guard.0, Arc::clone(&guard.1))
     }
 
@@ -141,7 +144,10 @@ impl SharedCatalog {
     /// [`SharedCatalog::register`] / [`SharedCatalog::deregister`] /
     /// [`SharedCatalog::append`].
     pub fn version(&self) -> u64 {
-        self.current.read().expect("catalog lock poisoned").0
+        self.current
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .0
     }
 
     /// True iff two handles publish into the same underlying catalog.
@@ -173,7 +179,7 @@ impl SharedCatalog {
     }
 
     fn publish<T>(&self, change: impl FnOnce(&mut Catalog) -> T) -> (T, u64) {
-        let mut guard = self.current.write().expect("catalog lock poisoned");
+        let mut guard = self.current.write().unwrap_or_else(PoisonError::into_inner);
         let mut next = (*guard.1).clone();
         let out = change(&mut next);
         *guard = (guard.0 + 1, Arc::new(next));
@@ -200,7 +206,7 @@ impl SharedCatalog {
         name: &str,
         batch: &AuRelation,
     ) -> Result<(usize, u64), CatalogAppendError> {
-        let mut guard = self.current.write().expect("catalog lock poisoned");
+        let mut guard = self.current.write().unwrap_or_else(PoisonError::into_inner);
         let Some(current) = guard.1.get(name) else {
             return Err(CatalogAppendError::UnknownTable {
                 name: name.to_string(),
@@ -458,6 +464,39 @@ mod tests {
         assert_eq!(versions, (1..=WRITERS).collect::<Vec<_>>());
         assert_eq!(shared.version(), WRITERS);
         assert_eq!(shared.snapshot().len(), WRITERS as usize);
+    }
+
+    /// A writer that panics while holding the lock poisons it, but the
+    /// published pair is untouched: every later read and write succeeds
+    /// and the version continues from where it stood.
+    #[test]
+    fn poisoned_lock_keeps_serving_the_last_published_snapshot() {
+        let shared = SharedCatalog::new();
+        let rel = |v: i64| {
+            AuRelation::from_rows(
+                Schema::new(["a"]),
+                [(
+                    audb_core::AuTuple::new([audb_core::RangeValue::certain(v)]),
+                    audb_core::Mult3::ONE,
+                )],
+            )
+        };
+        shared.register("t", rel(1));
+        let poisoner = shared.clone();
+        let died = std::thread::spawn(move || {
+            let _guard = poisoner.current.write().unwrap();
+            panic!("writer dies holding the catalog lock");
+        })
+        .join();
+        assert!(died.is_err());
+        assert!(shared.current.is_poisoned());
+
+        assert_eq!(shared.version(), 1);
+        assert_eq!(shared.snapshot().get("t").unwrap().len(), 1);
+        assert_eq!(shared.register("u", rel(2)).1, 2);
+        assert_eq!(shared.append("t", &rel(3)), Ok((2, 3)));
+        assert_eq!(shared.snapshot().get("t").unwrap().len(), 2);
+        assert_eq!(shared.snapshot_versioned().0, 3);
     }
 
     #[test]

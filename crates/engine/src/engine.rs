@@ -3,7 +3,7 @@
 
 use crate::backend::{Backend, Native, Reference, Rewrite};
 use crate::error::EngineError;
-use crate::exec::{self, ExecMode, ExecTrace, OpTiming, DEFAULT_BATCH_SIZE};
+use crate::exec::{self, ExecTrace, OpTiming, DEFAULT_BATCH_SIZE};
 use crate::optimize::OptInfo;
 use crate::plan::{Op, Plan};
 use audb_core::{estimate_selectivity, AuRelation, CmpSemantics};
@@ -72,99 +72,48 @@ pub struct Engine {
     choice: BackendChoice,
     semantics: CmpSemantics,
     join_strategy: JoinStrategy,
-    batch_size: usize,
-    exec_mode: Option<ExecMode>,
+    /// `None` lets the cost model pick; `Some` is a caller's pin.
+    batch_size: Option<usize>,
     pruning: bool,
 }
-
-/// Below this many source rows the pipelined executor's batching overhead
-/// outweighs its wins: the cost model picks materialized execution.
-pub const COST_PIPELINE_MIN_ROWS: usize = 512;
 
 /// At and above this many source rows the cost model widens batches to
 /// [`COST_LARGE_BATCH_SIZE`] (fewer dispatches; the working set no longer
 /// fits in cache either way).
-pub const COST_LARGE_ROWS: usize = 65_536;
+const COST_LARGE_ROWS: usize = 65_536;
 
 /// Batch size the cost model picks for [`COST_LARGE_ROWS`]-sized inputs.
-pub const COST_LARGE_BATCH_SIZE: usize = 4096;
+const COST_LARGE_BATCH_SIZE: usize = 4096;
 
-/// The cost model's decision for one `(plan, backend)` pair: how the plan
-/// will execute and why.
-#[derive(Clone, Debug)]
-pub struct ExecChoice {
-    /// Chosen execution mode.
-    pub mode: ExecMode,
-    /// Chosen batch size (meaningful under pipelined execution).
-    pub batch_size: usize,
-    /// Why — rendered on `explain`'s `cost:` line.
-    pub reason: String,
+/// The cost model's one decision: the batch size. A caller's pin always
+/// wins; otherwise inputs of [`COST_LARGE_ROWS`] rows or more get
+/// [`COST_LARGE_BATCH_SIZE`]-row batches, everything else
+/// [`DEFAULT_BATCH_SIZE`].
+fn choose_batch_size(plan: &Plan, pinned: Option<usize>) -> usize {
+    match pinned {
+        Some(batch) => batch,
+        None if plan.source_stats().rows >= COST_LARGE_ROWS => COST_LARGE_BATCH_SIZE,
+        None => DEFAULT_BATCH_SIZE,
+    }
 }
 
-/// Stats-driven execution choice, made by [`Engine::execute_traced`] and
-/// shown by [`Engine::explain`]: a forced mode always wins; a backend that
-/// prefers materialized execution (the reference oracle) keeps it; tiny
-/// inputs run materialized; everything else pipelines, with the batch
-/// size widened for large inputs unless the caller pinned one.
-pub fn choose_exec(
-    plan: &Plan,
-    preferred: ExecMode,
-    forced: Option<ExecMode>,
-    batch_size: usize,
-) -> ExecChoice {
+/// The stats the cost model read and what it chose — `explain`'s `cost:`
+/// line.
+fn cost_note(plan: &Plan, batch: usize) -> String {
     let stats = plan.source_stats();
-    let rows = stats.rows;
     let selectivity: f64 = plan
         .ops()
         .iter()
-        .take_while(|op| matches!(op, Op::Select { .. }))
-        .map(|op| match op {
-            Op::Select { pred } => estimate_selectivity(pred, stats),
-            _ => unreachable!(),
+        .map_while(|op| match op {
+            Op::Select { pred } => Some(estimate_selectivity(pred, stats)),
+            _ => None,
         })
         .product();
-    let breakers = plan
-        .ops()
-        .iter()
-        .filter(|op| matches!(op, Op::Sort { .. } | Op::TopK { .. } | Op::Window { .. }))
-        .count();
-    let detail = format!("rows={rows} · est. selectivity {selectivity:.2} · {breakers} breaker(s)");
-    if let Some(mode) = forced {
-        return ExecChoice {
-            mode,
-            batch_size,
-            reason: format!("{detail} → {mode} (forced via with_exec_mode)"),
-        };
-    }
-    if preferred == ExecMode::Materialized {
-        return ExecChoice {
-            mode: ExecMode::Materialized,
-            batch_size,
-            reason: format!("{detail} → materialized (backend runs operator-at-a-time)"),
-        };
-    }
-    if rows < COST_PIPELINE_MIN_ROWS {
-        return ExecChoice {
-            mode: ExecMode::Materialized,
-            batch_size,
-            reason: format!(
-                "{detail} → materialized (below the {COST_PIPELINE_MIN_ROWS}-row \
-                 pipelining threshold)"
-            ),
-        };
-    }
-    let batch = if batch_size != DEFAULT_BATCH_SIZE {
-        batch_size // the caller pinned a size; respect it
-    } else if rows >= COST_LARGE_ROWS {
-        COST_LARGE_BATCH_SIZE
-    } else {
-        DEFAULT_BATCH_SIZE
-    };
-    ExecChoice {
-        mode: ExecMode::Pipelined,
-        batch_size: batch,
-        reason: format!("{detail} → pipelined · batch {batch}"),
-    }
+    let breakers = plan.ops().iter().filter(|op| exec::is_breaker(op)).count();
+    format!(
+        "rows={} · est. selectivity {selectivity:.2} · {breakers} breaker(s) → pipelined · batch {batch}",
+        stats.rows
+    )
 }
 
 impl Default for Engine {
@@ -183,8 +132,7 @@ impl Engine {
             choice,
             semantics: CmpSemantics::default(),
             join_strategy: JoinStrategy::default(),
-            batch_size: DEFAULT_BATCH_SIZE,
-            exec_mode: None,
+            batch_size: None,
             pruning: true,
         }
     }
@@ -219,22 +167,13 @@ impl Engine {
         self
     }
 
-    /// Override the pipeline executor's batch size (default
-    /// [`DEFAULT_BATCH_SIZE`]). Any batch size produces the same bounds —
-    /// this knob trades per-batch dispatch against cache residency, and
-    /// lets tests pin degenerate sizes (1, n, > n).
+    /// Pin the executor's batch size (unpinned, the cost model picks
+    /// [`DEFAULT_BATCH_SIZE`], or 4096 for inputs of 65 536 rows or
+    /// more). Any batch size produces the same bounds — this knob trades
+    /// per-batch dispatch against cache residency, and lets tests pin
+    /// degenerate sizes (1, n, > n).
     pub fn with_batch_size(mut self, batch_size: usize) -> Self {
-        self.batch_size = batch_size.max(1);
-        self
-    }
-
-    /// Force an execution mode for every backend, overriding
-    /// [`Backend::preferred_mode`]. `Pipelined` runs even the reference
-    /// backend through the batch-streaming executor; `Materialized` forces
-    /// the original operator-at-a-time loop (the comparison arm of the
-    /// pipelined-≡-materialized property test and of `repro bench`).
-    pub fn with_exec_mode(mut self, mode: ExecMode) -> Self {
-        self.exec_mode = Some(mode);
+        self.batch_size = Some(batch_size.max(1));
         self
     }
 
@@ -244,18 +183,6 @@ impl Engine {
     pub fn with_pruning(mut self, pruning: bool) -> Self {
         self.pruning = pruning;
         self
-    }
-
-    /// The cost model's decision for this plan on this engine's effective
-    /// backend.
-    pub fn choose_exec(&self, plan: &Plan) -> ExecChoice {
-        let backend = self.backend_for(self.effective());
-        choose_exec(
-            plan,
-            backend.preferred_mode(),
-            self.exec_mode,
-            self.batch_size,
-        )
     }
 
     /// The backend the engine was asked for.
@@ -299,7 +226,7 @@ impl Engine {
     }
 
     /// Execute a plan on the effective backend (through the physical
-    /// execution layer, in the backend's — or the forced — mode).
+    /// execution layer's pipelines).
     pub fn execute(&self, plan: &Plan) -> Result<AuRelation, EngineError> {
         self.execute_traced(plan).map(|(rel, _)| rel)
     }
@@ -308,19 +235,8 @@ impl Engine {
     /// times and batch counts.
     pub fn execute_traced(&self, plan: &Plan) -> Result<(AuRelation, ExecTrace), EngineError> {
         let backend = self.backend_for(self.effective());
-        let choice = choose_exec(
-            plan,
-            backend.preferred_mode(),
-            self.exec_mode,
-            self.batch_size,
-        );
-        exec::execute_with(
-            &*backend,
-            plan,
-            choice.mode,
-            choice.batch_size,
-            self.pruning,
-        )
+        let batch = choose_batch_size(plan, self.batch_size);
+        exec::execute(&*backend, plan, batch, self.pruning)
     }
 
     /// Describe how this engine would run the plan: chosen backend (after
@@ -341,16 +257,7 @@ impl Engine {
                 note: backend.op_note(op),
             });
         }
-        let choice = choose_exec(
-            plan,
-            backend.preferred_mode(),
-            self.exec_mode,
-            self.batch_size,
-        );
-        let pipelines = match choice.mode {
-            ExecMode::Pipelined => exec::lower(plan).iter().map(|p| p.describe(plan)).collect(),
-            ExecMode::Materialized => Vec::new(),
-        };
+        let batch_size = choose_batch_size(plan, self.batch_size);
         Explain {
             requested: self.choice,
             backend: effective,
@@ -358,10 +265,9 @@ impl Engine {
             sql: plan.sql().map(str::to_string),
             steps,
             opt: plan.opt().cloned(),
-            cost: choice.reason,
-            mode: choice.mode,
-            batch_size: choice.batch_size,
-            pipelines,
+            cost: cost_note(plan, batch_size),
+            batch_size,
+            pipelines: exec::lower(plan).iter().map(|p| p.describe(plan)).collect(),
         }
     }
 
@@ -382,28 +288,16 @@ impl Engine {
             semantics: CmpSemantics::IntervalLex,
             ..*self
         };
+        let batch = choose_batch_size(plan, comparable.batch_size);
         let mut output: Option<AuRelation> = None;
         let mut runs = Vec::with_capacity(BackendChoice::ALL.len());
         for choice in BackendChoice::ALL {
             let backend = comparable.backend_for(choice);
-            let exec_choice = choose_exec(
-                plan,
-                backend.preferred_mode(),
-                comparable.exec_mode,
-                comparable.batch_size,
-            );
             let start = std::time::Instant::now();
-            let (out, trace) = exec::execute_with(
-                &*backend,
-                plan,
-                exec_choice.mode,
-                exec_choice.batch_size,
-                comparable.pruning,
-            )?;
+            let (out, trace) = exec::execute(&*backend, plan, batch, comparable.pruning)?;
             let elapsed = start.elapsed();
             runs.push(BackendRun {
                 backend: choice,
-                mode: exec_choice.mode,
                 elapsed,
                 rows: out.len(),
                 ops: trace.ops,
@@ -434,8 +328,6 @@ impl Engine {
 pub struct BackendRun {
     /// Which backend ran.
     pub backend: BackendChoice,
-    /// Execution mode the backend ran under.
-    pub mode: ExecMode,
     /// Wall-clock execution time of the whole plan.
     pub elapsed: Duration,
     /// Output rows produced (pre-normalization).
@@ -470,20 +362,14 @@ impl RunAll {
 ///
 /// ```text
 /// all backends agree (N output rows):
-///   <backend>  <mode>  <total>
+///   <backend>  <total>
 ///     · <op label>  <elapsed>  <batches> batches  <rows> rows
 /// ```
 impl fmt::Display for RunAll {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "all backends agree ({} output rows):", self.output.len())?;
         for r in &self.runs {
-            writeln!(
-                f,
-                "  {:<9} {:<12} {:>12.3?}",
-                r.backend.to_string(),
-                r.mode.to_string(),
-                r.elapsed
-            )?;
+            writeln!(f, "  {:<9} {:>12.3?}", r.backend.to_string(), r.elapsed)?;
             for op in &r.ops {
                 writeln!(
                     f,
@@ -520,7 +406,8 @@ pub struct ExplainStep {
 ///  0. scan [N rows]
 ///       schema: (...)
 ///       note:   ...
-/// exec:    pipelined · batch 1024 · 2 pipelines          (or `materialized (operator-at-a-time)`)
+/// cost:    rows=N · est. selectivity S · B breaker(s) → pipelined · batch 1024
+/// exec:    pipelined · batch 1024 · 2 pipelines
 ///       p0: fuse(select · project) ⇒ breaker sort
 ///       p1: passthrough ⇒ output
 /// ```
@@ -540,15 +427,13 @@ pub struct Explain {
     /// Optimizer provenance when the plan was rewritten: the
     /// pre-optimization operator chain and the applied rules.
     pub opt: Option<OptInfo>,
-    /// The cost model's reasoning for the chosen mode and batch size.
+    /// The cost model's reasoning for the chosen batch size.
     pub cost: String,
-    /// Execution mode the plan will run under on this engine.
-    pub mode: ExecMode,
     /// Batch size of the pipeline executor.
     pub batch_size: usize,
     /// The lowered physical pipelines (fused stages + breaker
-    /// annotations), one rendered line per pipeline; empty under
-    /// materialized execution and for scan-only plans.
+    /// annotations), one rendered line per pipeline; empty for scan-only
+    /// plans.
     pub pipelines: Vec<String>,
 }
 
@@ -591,22 +476,15 @@ impl fmt::Display for Explain {
             }
         }
         writeln!(f, "cost:    {}", self.cost)?;
-        match self.mode {
-            ExecMode::Materialized => {
-                writeln!(f, "exec:    materialized (operator-at-a-time)")?;
-            }
-            ExecMode::Pipelined => {
-                writeln!(
-                    f,
-                    "exec:    pipelined · batch {} · {} pipeline{}",
-                    self.batch_size,
-                    self.pipelines.len(),
-                    if self.pipelines.len() == 1 { "" } else { "s" }
-                )?;
-                for (i, p) in self.pipelines.iter().enumerate() {
-                    writeln!(f, "      p{i}: {p}")?;
-                }
-            }
+        writeln!(
+            f,
+            "exec:    pipelined · batch {} · {} pipeline{}",
+            self.batch_size,
+            self.pipelines.len(),
+            if self.pipelines.len() == 1 { "" } else { "s" }
+        )?;
+        for (i, p) in self.pipelines.iter().enumerate() {
+            writeln!(f, "      p{i}: {p}")?;
         }
         Ok(())
     }

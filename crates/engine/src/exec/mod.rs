@@ -13,22 +13,24 @@
 //! order-based operators (`sort`, `topk`, `window`) as **pipeline
 //! breakers** — the only points where state is materialized.
 //!
-//! Execution ([`execute`]) columnarizes each fused stage's input
-//! ([`audb_core::AuColumns`] — cached on the plan when the stage reads
-//! the scan source unchanged) and streams cache-sized zero-copy
-//! column-slice [`AuBatch`](audb_core::AuBatch) morsels through the
-//! fused chain in parallel (via `audb-par`, with deterministic output
-//! order) as vectorized column sweeps, then hands the single
-//! materialized build side to the backend's breaker hook. Per-operator wall times and
+//! Execution ([`execute`]) is the only way a plan runs, on every backend
+//! and at every input size. It columnarizes each fused stage's input
+//! ([`audb_core::AuColumns`] — the published table's columns when the
+//! stage reads the scan source unchanged) and streams cache-sized
+//! zero-copy column-slice [`AuBatch`](audb_core::AuBatch) morsels through
+//! the fused chain in parallel (via `audb-par`, with deterministic output
+//! order) as vectorized column sweeps, then hands the single materialized
+//! build side to the backend's breaker hook. Per-operator wall times and
 //! batch counts are collected in an [`ExecTrace`], surfaced by
 //! `Engine::run_all` and the `repro bench` harness.
 //!
 //! The semantic contract, property-tested in `tests/pipeline_equivalence.rs`:
-//! for every plan, backend and batch size, pipelined execution is bag-equal
-//! to materialized operator-at-a-time execution.
+//! for every plan, backend and batch size, execution is bag-equal to the
+//! plan folded operator-at-a-time — `audb_core`'s row operators for the
+//! streamable steps, the same backend's breaker hooks for the rest.
 
 mod lower;
 mod run;
 
 pub use lower::{is_breaker, lower, Pipeline};
-pub use run::{execute, execute_with, ExecMode, ExecTrace, OpTiming, DEFAULT_BATCH_SIZE};
+pub use run::{execute, ExecTrace, OpTiming, DEFAULT_BATCH_SIZE};

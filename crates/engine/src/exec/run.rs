@@ -1,21 +1,15 @@
-//! The batch-streaming executor and its materialized twin.
+//! The batch-streaming executor — the one way a plan runs.
 //!
-//! [`execute`] runs a validated plan on any [`Backend`] in one of two
-//! modes:
+//! [`execute`] runs a validated plan on any [`Backend`] through its
+//! lowered [`Pipeline`]s: the input of each pipeline's fused
+//! select/project chain is columnarized once ([`AuColumns`]), then every
+//! step is a **vectorized column sweep** over cache-sized zero-copy batch
+//! views ([`AuBatch`]), with the batches of one stage processed
+//! **morsel-parallel** through [`audb_par::par_map`] (deterministic output
+//! order: batch `i`'s rows always precede batch `i + 1`'s). Only breakers
+//! materialize rows, through the backend's order-based hooks.
 //!
-//! * [`ExecMode::Materialized`] — the original operator-at-a-time loop: a
-//!   full [`AuRelation`] between every step. Kept as the semantic oracle
-//!   (the [`Reference`](crate::Reference) backend's mode) and as the
-//!   comparison arm of the pipelined-≡-materialized property test.
-//! * [`ExecMode::Pipelined`] — the lowered [`Pipeline`]s: the input of
-//!   each pipeline's fused select/project chain is columnarized once
-//!   ([`AuColumns`]), then every step is a **vectorized column sweep**
-//!   over cache-sized zero-copy batch views ([`AuBatch`]), with the
-//!   batches of one stage processed **morsel-parallel** through
-//!   [`audb_par::par_map`] (deterministic output order: batch `i`'s rows
-//!   always precede batch `i + 1`'s). Only breakers materialize rows.
-//!
-//! Both modes collect an [`ExecTrace`]: per-operator wall time, batch
+//! Every run collects an [`ExecTrace`]: per-operator wall time, batch
 //! count and output cardinality, surfaced by `Engine::run_all` and
 //! `repro bench`.
 
@@ -26,32 +20,12 @@ use crate::plan::{Op, Plan};
 use audb_core::{range_verdict, AuBatch, AuColumns, AuRelation, Mult3, TableStats, ZoneVerdict};
 use audb_rel::Schema;
 use std::borrow::Cow;
-use std::fmt;
 use std::time::{Duration, Instant};
 
 /// Default number of rows per batch: small enough that a batch of tuples
 /// plus its fused-stage output stays cache-resident, large enough to
 /// amortize per-batch dispatch.
 pub const DEFAULT_BATCH_SIZE: usize = 1024;
-
-/// How a backend runs plans.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ExecMode {
-    /// Operator-at-a-time with a materialized relation between steps.
-    Materialized,
-    /// Batch-streaming pipelines with fused stages and breaker-only
-    /// materialization.
-    Pipelined,
-}
-
-impl fmt::Display for ExecMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ExecMode::Materialized => write!(f, "materialized"),
-            ExecMode::Pipelined => write!(f, "pipelined"),
-        }
-    }
-}
 
 /// One physical operator's measured execution.
 #[derive(Clone, Debug)]
@@ -61,8 +35,8 @@ pub struct OpTiming {
     pub label: String,
     /// Wall-clock time spent in this operator.
     pub elapsed: Duration,
-    /// Batches processed (materialized operators count their single
-    /// materialized input as one batch).
+    /// Batches processed (a breaker counts its single materialized input
+    /// as one batch).
     pub batches: usize,
     /// Rows flowing out of the operator.
     pub rows_out: usize,
@@ -71,51 +45,18 @@ pub struct OpTiming {
 /// The measured physical execution of one plan on one backend.
 #[derive(Clone, Debug)]
 pub struct ExecTrace {
-    /// Mode the plan ran under.
-    pub mode: ExecMode,
-    /// Batch size used (also reported for materialized runs, where it only
-    /// affects the nominal scan batch count).
+    /// Batch size used.
     pub batch_size: usize,
-    /// Number of pipelines the plan lowered to (0 for materialized runs
-    /// and scan-only plans).
+    /// Number of pipelines the plan lowered to (0 for scan-only plans).
     pub pipelines: usize,
-    /// Batches the pipelined executor skipped outright because the source
-    /// zone maps proved a fused selection false over the whole batch
-    /// (always 0 for materialized runs and with pruning disabled).
+    /// Batches the executor skipped outright because the source zone maps
+    /// proved a fused selection false over the whole batch (always 0 with
+    /// pruning disabled).
     pub batches_skipped: usize,
-    /// Batches the fused stages actually evaluated (0 for materialized
-    /// runs, which do not batch their operator inputs).
+    /// Batches the fused stages actually evaluated.
     pub batches_scanned: usize,
     /// Per-operator timings, in execution order (first entry is the scan).
     pub ops: Vec<OpTiming>,
-}
-
-/// Execute `plan` on `backend` in the given mode, collecting a trace.
-/// Zone-map batch pruning is on — [`execute_with`] exposes the switch.
-pub fn execute<B: Backend + ?Sized>(
-    backend: &B,
-    plan: &Plan,
-    mode: ExecMode,
-    batch_size: usize,
-) -> Result<(AuRelation, ExecTrace), EngineError> {
-    execute_with(backend, plan, mode, batch_size, true)
-}
-
-/// Execute `plan` on `backend` in the given mode, with zone-map batch
-/// pruning explicitly enabled or disabled (the disabled arm is the
-/// within-run comparison baseline of `repro bench` and the pruned ≡
-/// unpruned property test).
-pub fn execute_with<B: Backend + ?Sized>(
-    backend: &B,
-    plan: &Plan,
-    mode: ExecMode,
-    batch_size: usize,
-    prune: bool,
-) -> Result<(AuRelation, ExecTrace), EngineError> {
-    match mode {
-        ExecMode::Materialized => run_materialized(backend, plan, batch_size),
-        ExecMode::Pipelined => run_pipelined(backend, plan, batch_size, prune),
-    }
 }
 
 /// Dispatch one breaker operator to its backend hook.
@@ -134,54 +75,6 @@ fn run_breaker<B: Backend + ?Sized>(
         } => backend.window(input, spec, *agg, out_name),
         _ => unreachable!("only order-based operators are pipeline breakers"),
     }
-}
-
-/// The operator-at-a-time loop: every step materializes.
-fn run_materialized<B: Backend + ?Sized>(
-    backend: &B,
-    plan: &Plan,
-    batch_size: usize,
-) -> Result<(AuRelation, ExecTrace), EngineError> {
-    let mut ops = Vec::with_capacity(plan.ops().len() + 1);
-    let start = Instant::now();
-    let mut cur: Cow<'_, AuRelation> = backend.scan(plan.source())?;
-    ops.push(OpTiming {
-        label: "scan".to_string(),
-        elapsed: start.elapsed(),
-        batches: cur.batch_count(batch_size),
-        rows_out: cur.len(),
-    });
-    for op in plan.ops() {
-        let start = Instant::now();
-        let next = match op {
-            Op::Select { pred } => audb_core::au_select(&cur, pred),
-            Op::Project { cols } => audb_core::au_project_cols(&cur, cols),
-            Op::ProjectExprs { exprs } => {
-                let borrowed: Vec<(audb_core::RangeExpr, &str)> =
-                    exprs.iter().map(|(e, n)| (e.clone(), n.as_str())).collect();
-                audb_core::au_project(&cur, &borrowed)
-            }
-            breaker => run_breaker(backend, breaker, &cur)?,
-        };
-        cur = Cow::Owned(next);
-        ops.push(OpTiming {
-            label: op.name().to_string(),
-            elapsed: start.elapsed(),
-            batches: 1,
-            rows_out: cur.len(),
-        });
-    }
-    Ok((
-        cur.into_owned(),
-        ExecTrace {
-            mode: ExecMode::Materialized,
-            batch_size,
-            pipelines: 0,
-            batches_skipped: 0,
-            batches_scanned: 0,
-            ops,
-        },
-    ))
 }
 
 /// Zone-map verdicts for one batch of the first fused stage: whether the
@@ -234,8 +127,9 @@ fn batch_verdict(
 /// leading steps — zero-copy — then the owned columns of the last
 /// projection).
 ///
-/// Semantics mirror the materialized operators exactly (pinned by the
-/// pipelined-≡-materialized property test):
+/// Semantics mirror `audb_core`'s row operators (`au_select`,
+/// `au_project_cols`, `au_project`) exactly (pinned by the operator-fold
+/// oracle of `tests/pipeline_equivalence.rs`):
 /// * `select` filters the multiplicity triple by the predicate's
 ///   vectorized truth column and drops rows whose filtered annotation is
 ///   `(0, 0, 0)`;
@@ -264,8 +158,8 @@ fn apply_fused(steps: &[(&Op, &Schema)], batch: &AuBatch<'_>, all_true: &[bool])
             match op {
                 // A zone-map `AllTrue` verdict short-circuits the
                 // predicate: `Mult3::filter(TRUE)` is the identity, so the
-                // step only drops already-zero annotations (exactly the
-                // materialized select's drop rule) and never evaluates.
+                // step only drops already-zero annotations (exactly
+                // `au_select`'s drop rule) and never evaluates.
                 Op::Select { .. } if all_true.get(si).copied().unwrap_or(false) => {
                     match pending.take() {
                         Some((sel, mults)) => StepOut::Selected(sel, mults),
@@ -343,7 +237,7 @@ fn apply_fused(steps: &[(&Op, &Schema)], batch: &AuBatch<'_>, all_true: &[bool])
 }
 
 /// The batch-relative indices and annotations of the rows a projection
-/// keeps (`k↑ > 0` — the materialized operators' drop rule).
+/// keeps (`k↑ > 0` — the row operators' drop rule).
 fn nonzero_rows(b: &AuBatch<'_>) -> (Vec<usize>, Vec<Mult3>) {
     let mut keep = Vec::with_capacity(b.len());
     let mut mults = Vec::with_capacity(b.len());
@@ -357,9 +251,12 @@ fn nonzero_rows(b: &AuBatch<'_>) -> (Vec<usize>, Vec<Mult3>) {
     (keep, mults)
 }
 
-/// The batch-streaming executor: fused stages morsel-parallel per batch,
-/// breakers via the backend hooks.
-fn run_pipelined<B: Backend + ?Sized>(
+/// Execute `plan` on `backend`, collecting a trace: fused stages run
+/// morsel-parallel per batch, breakers through the backend hooks. `prune`
+/// switches zone-map batch skipping (the disabled arm is the within-run
+/// comparison baseline of `repro bench` and the pruned ≡ unpruned property
+/// test).
+pub fn execute<B: Backend + ?Sized>(
     backend: &B,
     plan: &Plan,
     batch_size: usize,
@@ -463,7 +360,6 @@ fn run_pipelined<B: Backend + ?Sized>(
     Ok((
         cur.into_owned(),
         ExecTrace {
-            mode: ExecMode::Pipelined,
             batch_size,
             pipelines: pipelines.len(),
             batches_skipped,
@@ -500,6 +396,26 @@ mod tests {
         )
     }
 
+    /// The oracle: `plan` folded operator-at-a-time over full relations —
+    /// `audb_core`'s row operators for the streamable steps, the backend's
+    /// own hooks for the breakers.
+    fn folded(backend: &dyn Backend, plan: &Plan) -> AuRelation {
+        let mut cur = backend.scan(plan.source()).unwrap().into_owned();
+        for op in plan.ops() {
+            cur = match op {
+                Op::Select { pred } => audb_core::au_select(&cur, pred),
+                Op::Project { cols } => audb_core::au_project_cols(&cur, cols),
+                Op::ProjectExprs { exprs } => {
+                    let named: Vec<(RangeExpr, &str)> =
+                        exprs.iter().map(|(e, n)| (e.clone(), n.as_str())).collect();
+                    audb_core::au_project(&cur, &named)
+                }
+                breaker => run_breaker(backend, breaker, &cur).unwrap(),
+            };
+        }
+        cur
+    }
+
     fn fused_plan(n: usize) -> Plan {
         Query::scan(rel(n))
             .select(RangeExpr::col(1).lt(RangeExpr::lit(4)))
@@ -518,21 +434,17 @@ mod tests {
 
     /// The batch-boundary contract: batch size 1 (every row its own
     /// morsel), exactly n (one full batch), and > n (one short batch) all
-    /// produce the materialized result, on every backend.
+    /// produce the operator-at-a-time (fully materialized) result, on
+    /// every backend.
     #[test]
     fn batch_boundaries_are_bag_equal_to_materialized() {
         let n = 23;
         let plan = fused_plan(n);
         let backends: [&dyn Backend; 3] = [&Reference::default(), &Native, &Rewrite::default()];
         for backend in backends {
-            let (materialized, trace) =
-                execute(backend, &plan, ExecMode::Materialized, DEFAULT_BATCH_SIZE).unwrap();
-            assert_eq!(trace.mode, ExecMode::Materialized);
-            // scan + select + project + topk
-            assert_eq!(trace.ops.len(), 4);
+            let materialized = folded(backend, &plan);
             for batch_size in [1, n, n + 10] {
-                let (pipelined, trace) =
-                    execute(backend, &plan, ExecMode::Pipelined, batch_size).unwrap();
+                let (pipelined, trace) = execute(backend, &plan, batch_size, true).unwrap();
                 assert!(
                     pipelined.bag_eq(&materialized),
                     "backend {} batch {batch_size}:\n{pipelined}\nvs\n{materialized}",
@@ -549,8 +461,7 @@ mod tests {
         }
     }
 
-    /// Fused chains replicate the drop rules of the materialized
-    /// operators: select drops zero filtered annotations, projections drop
+    /// Fused chains replicate the drop rules of the row operators: select drops zero filtered annotations, projections drop
     /// zero input annotations, and rows that never pass a dropping
     /// operator survive untouched.
     #[test]
@@ -565,12 +476,12 @@ mod tests {
         );
         // Zero-annotation rows survive an empty chain (no pipeline at all)…
         let plan = Query::scan(rel.clone()).build().unwrap();
-        let (out, trace) = execute(&Native, &plan, ExecMode::Pipelined, 2).unwrap();
+        let (out, trace) = execute(&Native, &plan, 2, true).unwrap();
         assert_eq!(out.len(), 3);
         assert_eq!(trace.pipelines, 0);
         // …but a projection drops them, exactly like au_project_cols.
         let plan = Query::scan(rel.clone()).project(["a"]).build().unwrap();
-        let (out, _) = execute(&Native, &plan, ExecMode::Pipelined, 2).unwrap();
+        let (out, _) = execute(&Native, &plan, 2, true).unwrap();
         assert!(out.bag_eq(&audb_core::au_project_cols(&rel, &[0])));
         assert_eq!(out.len(), 2);
         // A select ahead of the projection drops non-matching rows first.
@@ -579,7 +490,7 @@ mod tests {
             .project(["a"])
             .build()
             .unwrap();
-        let (out, _) = execute(&Native, &plan, ExecMode::Pipelined, 1).unwrap();
+        let (out, _) = execute(&Native, &plan, 1, true).unwrap();
         let step = audb_core::au_select(&rel, &RangeExpr::col(0).lt(RangeExpr::lit(5)));
         assert!(out.bag_eq(&audb_core::au_project_cols(&step, &[0])));
         assert_eq!(out.len(), 1);
@@ -603,7 +514,7 @@ mod tests {
             .project(["a"])
             .build()
             .unwrap();
-        let (out, _) = execute(&Native, &plan, ExecMode::Pipelined, 8).unwrap();
+        let (out, _) = execute(&Native, &plan, 8, true).unwrap();
         // Possibly-true predicate: certain multiplicity drops to 0.
         assert_eq!(out.rows()[0].mult, Mult3::new(0, 2, 2));
         let materialized = audb_core::au_project_cols(&audb_core::au_select(&rel, &pred), &[0]);
@@ -637,17 +548,14 @@ mod tests {
             .project(["t", "v"])
             .build()
             .unwrap();
-        let (pruned, trace) =
-            execute_with(&Native, &plan, ExecMode::Pipelined, ZONE_ROWS, true).unwrap();
+        let (pruned, trace) = execute(&Native, &plan, ZONE_ROWS, true).unwrap();
         assert_eq!(trace.batches_skipped, 3);
         assert_eq!(trace.batches_scanned, 1);
-        let (unpruned, off) =
-            execute_with(&Native, &plan, ExecMode::Pipelined, ZONE_ROWS, false).unwrap();
+        let (unpruned, off) = execute(&Native, &plan, ZONE_ROWS, false).unwrap();
         assert_eq!(off.batches_skipped, 0);
         assert_eq!(off.batches_scanned, 4);
         assert!(pruned.bag_eq(&unpruned));
-        let (materialized, _) = execute(&Native, &plan, ExecMode::Materialized, ZONE_ROWS).unwrap();
-        assert!(pruned.bag_eq(&materialized));
+        assert!(pruned.bag_eq(&folded(&Native, &plan)));
 
         // An always-true predicate short-circuits: nothing skips, the
         // output still drops the zero-annotation rows.
@@ -656,23 +564,13 @@ mod tests {
             .project(["t"])
             .build()
             .unwrap();
-        let (pruned, trace) =
-            execute_with(&Native, &plan2, ExecMode::Pipelined, ZONE_ROWS, true).unwrap();
+        let (pruned, trace) = execute(&Native, &plan2, ZONE_ROWS, true).unwrap();
         assert_eq!(trace.batches_skipped, 0);
-        let (materialized, _) =
-            execute(&Native, &plan2, ExecMode::Materialized, ZONE_ROWS).unwrap();
-        assert!(pruned.bag_eq(&materialized));
+        assert!(pruned.bag_eq(&folded(&Native, &plan2)));
 
         // A batch size misaligned with the zones stays correct: verdicts
         // combine every overlapping zone.
-        let (odd, trace) = execute_with(
-            &Native,
-            &plan,
-            ExecMode::Pipelined,
-            ZONE_ROWS / 3 + 11,
-            true,
-        )
-        .unwrap();
+        let (odd, trace) = execute(&Native, &plan, ZONE_ROWS / 3 + 11, true).unwrap();
         assert!(odd.bag_eq(&unpruned));
         assert!(trace.batches_skipped > 0);
     }
@@ -694,9 +592,12 @@ mod tests {
             .build()
             .unwrap();
         for backend in [&Native as &dyn Backend, &Reference::default()] {
-            let (pipelined, trace) = execute(backend, &plan, ExecMode::Pipelined, 4).unwrap();
-            let (materialized, _) = execute(backend, &plan, ExecMode::Materialized, 4).unwrap();
-            assert!(pipelined.bag_eq(&materialized), "{}", backend.name());
+            let (pipelined, trace) = execute(backend, &plan, 4, true).unwrap();
+            assert!(
+                pipelined.bag_eq(&folded(backend, &plan)),
+                "{}",
+                backend.name()
+            );
             assert_eq!(trace.pipelines, 3);
             let labels: Vec<&str> = trace.ops.iter().map(|o| o.label.as_str()).collect();
             assert_eq!(

@@ -23,9 +23,9 @@
 //!   select/project stages run morsel-parallel as vectorized column
 //!   sweeps over cache-sized columnar [`audb_core::AuBatch`] views
 //!   ([`audb_core::AuColumns`] storage), with the order-based operators
-//!   as the only materializing pipeline breakers. The production backends (native,
-//!   rewrite) execute pipelined; the reference oracle stays materialized;
-//!   both modes are property-tested bag-equal on every plan.
+//!   as the only materializing pipeline breakers. Every backend runs
+//!   every plan this one way; execution is property-tested bag-equal to
+//!   the plan folded operator-at-a-time on every backend.
 //!
 //! Everything downstream of the operator crates — examples, workload
 //! drivers, benchmarks — constructs its sort/top-k/window queries through
@@ -48,7 +48,7 @@ pub use backend::{Backend, Native, Reference, Rewrite};
 pub use catalog::{Catalog, CatalogAppendError, SharedCatalog};
 pub use engine::{BackendChoice, BackendRun, Engine, Explain, ExplainStep, RunAll};
 pub use error::{EngineError, PlanError, SessionError};
-pub use exec::{ExecMode, ExecTrace, OpTiming, Pipeline, DEFAULT_BATCH_SIZE};
+pub use exec::{ExecTrace, OpTiming, Pipeline, DEFAULT_BATCH_SIZE};
 pub use maintain::{Delta, MaintainedQuery, Strategy};
 pub use optimize::{optimize, AppliedRule, OptInfo};
 pub use plan::{Agg, ColRef, Op, Plan, Query, WindowSpec};
@@ -97,8 +97,7 @@ mod tests {
         )
     }
 
-    /// A `select → project → sort` plan over `n` rows — large enough to
-    /// clear the cost model's pipelining threshold when `n ≥ 512`.
+    /// A `select → project → sort` plan over `n` rows.
     fn large_plan(n: usize) -> Plan {
         use audb_core::RangeExpr;
         let rows = (0..n).map(|i| {
@@ -323,21 +322,25 @@ mod tests {
         assert_eq!(lines[2], " 0. scan [3 rows]");
         assert!(lines[3].starts_with("      schema: "), "{text}");
         assert!(lines[4].starts_with("      note:   "), "{text}");
-        // The cost model explains its mode choice, then the exec line
-        // states it. The reference oracle always runs materialized.
+        // The cost model explains its batch-size choice, then the exec
+        // line states it with the physical pipeline plan. The reference
+        // oracle runs through the same executor as every backend.
+        assert_eq!(
+            lines[lines.len() - 3],
+            "cost:    rows=3 · est. selectivity 1.00 · 1 breaker(s) → pipelined · batch 1024"
+        );
         assert_eq!(
             lines[lines.len() - 2],
-            "cost:    rows=3 · est. selectivity 1.00 · 1 breaker(s) → materialized \
-             (backend runs operator-at-a-time)"
+            "exec:    pipelined · batch 1024 · 1 pipeline"
         );
         assert_eq!(
             lines.last().unwrap(),
-            &"exec:    materialized (operator-at-a-time)"
+            &"      p0: passthrough ⇒ breaker sort"
         );
 
         // Without SQL provenance and without fallback: no query line, bare
-        // backend line. The cost model keeps tiny inputs materialized even
-        // on the production backend.
+        // backend line. Tiny inputs pipeline too, fused stages and breaker
+        // annotations included.
         let plan = Query::scan(example6())
             .select(audb_core::RangeExpr::col(0).le(audb_core::RangeExpr::lit(9)))
             .project(["a", "b"])
@@ -347,36 +350,49 @@ mod tests {
         let text = Engine::native().explain(&plan).to_string();
         assert_eq!(text.lines().next().unwrap(), "backend: native");
         assert!(!text.contains("query:"), "{text}");
-        let tail: Vec<&str> = text.lines().rev().take(2).collect();
-        assert_eq!(tail[0], "exec:    materialized (operator-at-a-time)");
+        let tail: Vec<&str> = text.lines().rev().take(3).collect();
+        assert_eq!(tail[0], "      p0: fuse(select · project) ⇒ breaker sort");
+        assert_eq!(tail[1], "exec:    pipelined · batch 1024 · 1 pipeline");
         assert!(
-            tail[1].starts_with("cost:    rows=3 · est. selectivity "),
+            tail[2].starts_with("cost:    rows=3 · est. selectivity "),
             "{text}"
         );
 
-        // A large input clears the threshold: the production backend
-        // pipelines, and the physical pipeline plan (fused stages and
-        // breaker annotations) is printed.
+        // A larger input reads the same way.
         let text = Engine::native().explain(&large_plan(4096)).to_string();
         let tail: Vec<&str> = text.lines().rev().take(2).collect();
         assert_eq!(tail[1], "exec:    pipelined · batch 1024 · 1 pipeline");
         assert_eq!(tail[0], "      p0: fuse(select · project) ⇒ breaker sort");
     }
 
+    /// A batch size pinned to the default is still a pin: the cost model
+    /// widens only unpinned batches on large inputs.
+    #[test]
+    fn pinned_default_batch_size_survives_large_inputs() {
+        let plan = large_plan(65_536);
+        assert_eq!(Engine::native().explain(&plan).batch_size, 4096);
+        let pinned = Engine::native().with_batch_size(DEFAULT_BATCH_SIZE);
+        let explain = pinned.explain(&plan);
+        assert_eq!(explain.batch_size, 1024);
+        assert!(
+            explain.cost.ends_with("→ pipelined · batch 1024"),
+            "{explain}"
+        );
+    }
+
     /// The satellite contract for `run_all`: ONE stable report format —
-    /// per-backend totals with execution mode, then per-operator wall
-    /// times with batch counts and cardinalities. Built from synthetic
-    /// timings so the golden string is exact.
+    /// per-backend totals, then per-operator wall times with batch counts
+    /// and cardinalities. Built from synthetic timings so the golden
+    /// string is exact.
     #[test]
     fn run_all_report_format_is_stable() {
-        use crate::exec::{ExecMode, OpTiming};
+        use crate::exec::OpTiming;
         use std::time::Duration;
         let report = RunAll {
             output: example6(),
             runs: vec![
                 BackendRun {
                     backend: BackendChoice::Reference,
-                    mode: ExecMode::Materialized,
                     elapsed: Duration::from_micros(1500),
                     rows: 3,
                     ops: vec![
@@ -396,7 +412,6 @@ mod tests {
                 },
                 BackendRun {
                     backend: BackendChoice::Native,
-                    mode: ExecMode::Pipelined,
                     elapsed: Duration::from_micros(800),
                     rows: 3,
                     ops: vec![OpTiming {
@@ -411,65 +426,32 @@ mod tests {
         assert_eq!(
             report.to_string(),
             "all backends agree (3 output rows):\n\
-             \x20 reference materialized      1.500ms\n\
+             \x20 reference      1.500ms\n\
              \x20   · scan                          500.000µs     1 batches       3 rows\n\
              \x20   · sort                            1.000ms     1 batches       3 rows\n\
-             \x20 native    pipelined       800.000µs\n\
+             \x20 native       800.000µs\n\
              \x20   · fuse(select · project)        300.000µs     2 batches    1234 rows\n"
         );
     }
 
-    /// `run_all` executes each backend under the cost model's choice
-    /// (materialized for tiny inputs, pipelined on the production
-    /// backends once the input clears the threshold) and carries
-    /// per-operator timings for every run.
+    /// `run_all` runs every backend through the same pipelines, tiny
+    /// inputs included, and carries per-operator timings for every run.
     #[test]
-    fn run_all_reports_modes_and_op_timings() {
-        use crate::exec::ExecMode;
+    fn run_all_reports_op_timings() {
         let plan = Query::scan(example6())
             .select(audb_core::RangeExpr::col(0).le(audb_core::RangeExpr::lit(9)))
             .sort_by(["a"])
             .build()
             .unwrap();
         let all = Engine::native().run_all(&plan).unwrap();
-        // 3 rows sit below the pipelining threshold: every backend runs
-        // materialized.
-        let modes: Vec<ExecMode> = all.runs.iter().map(|r| r.mode).collect();
-        assert_eq!(
-            modes,
-            [
-                ExecMode::Materialized,
-                ExecMode::Materialized,
-                ExecMode::Materialized
-            ]
-        );
         for run in &all.runs {
             let labels: Vec<&str> = run.ops.iter().map(|o| o.label.as_str()).collect();
-            assert_eq!(labels, ["scan", "select", "sort"]);
+            assert_eq!(labels, ["scan", "fuse(select)", "sort"]);
         }
-
-        // A large input pipelines on the production backends; the
-        // reference oracle stays materialized.
         let all = Engine::native().run_all(&large_plan(1024)).unwrap();
-        let modes: Vec<ExecMode> = all.runs.iter().map(|r| r.mode).collect();
-        assert_eq!(
-            modes,
-            [
-                ExecMode::Materialized,
-                ExecMode::Pipelined,
-                ExecMode::Pipelined
-            ]
-        );
         for run in &all.runs {
             let labels: Vec<&str> = run.ops.iter().map(|o| o.label.as_str()).collect();
-            match run.mode {
-                ExecMode::Materialized => {
-                    assert_eq!(labels, ["scan", "select", "project", "sort"])
-                }
-                ExecMode::Pipelined => {
-                    assert_eq!(labels, ["scan", "fuse(select · project)", "sort"])
-                }
-            }
+            assert_eq!(labels, ["scan", "fuse(select · project)", "sort"]);
         }
     }
 

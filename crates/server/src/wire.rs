@@ -288,7 +288,6 @@ fn backends_body(all: &RunAll) -> Json {
             .map(|run| {
                 Json::obj([
                     ("backend", Json::str(run.backend.to_string())),
-                    ("mode", Json::str(run.mode.to_string())),
                     ("elapsed_us", Json::Int(run.elapsed.as_micros() as i64)),
                     ("rows", Json::Int(run.rows as i64)),
                 ])
